@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates the data series behind one figure of the paper
-and prints it (compare with the corresponding entry in ``EXPERIMENTS.md``).
+and prints it.
 The timed quantity is the full experiment (workload generation + every
 algorithm), run once per benchmark round.
 

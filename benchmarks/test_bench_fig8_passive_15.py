@@ -3,7 +3,7 @@
 Same protocol as Figure 7 on the larger POP (≈70 links, ≈1900 traffics).
 The partial-coverage MIPs at this size take minutes to *prove* optimality
 even though HiGHS finds the optimal incumbent quickly, so the benchmark runs
-with a 20-second time limit and a 2% gap per solve (see EXPERIMENTS.md).
+with a 20-second time limit and a 2% gap per solve.
 """
 
 from repro.experiments import ExperimentConfig, figure8_passive_pop15, format_table, summarize_ratio

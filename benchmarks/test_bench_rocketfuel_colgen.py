@@ -10,15 +10,16 @@ Internet demand (a few hundred "preferred pairs of high traffic" between a
 small set of hot endpoints, a long tail of mice flows) with the candidate
 monitors on the POP access links, and solves its root relaxation two ways:
 
-* **monolithic**: ``decomposition="off"`` -- the full lowering through the
-  FT + devex simplex, gated only on not regressing (``OPTIMAL`` within its
-  budget, or an honest ``TIME_LIMIT``);
-* **colgen**: ``decomposition="colgen"`` -- the restricted master seeded by
-  the LP2 heavy-hitter hints, pricing the 10^4-column universe in CSC
-  blocks.
+* **monolithic**: the column-generation threshold
+  (``colgen._COLGEN_MIN_COLS``) patched out of reach -- the full lowering
+  through the FT + devex simplex, gated only on not regressing
+  (``OPTIMAL`` within its budget, or an honest ``TIME_LIMIT``);
+* **colgen**: the default path at this size -- the restricted master
+  seeded by the LP2 heavy-hitter hints, pricing the 10^4-column universe in
+  CSC blocks.
 
 Gates: colgen must reach the HiGHS-cross-checked objective, keep its peak
-stored nonzeros (canonical master + LU factors + eta file, the
+stored nonzeros (canonical master + LU factors, the
 ``peak_nnz`` counter) at <= 25% of the monolithic arm's, and finish >= 2x
 faster unless the monolithic arm did-not-finish.  Both arms' wall-times and
 counter snapshots (``colgen_rounds``, ``columns_priced``, ``columns_added``,
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from repro.optim import SolveStatus
 from repro.optim import instrumentation as instr
-from repro.optim import scipy_backend
+from repro.optim import colgen, scipy_backend
 from repro.passive.ilp import PPMSession
 from repro.passive.problem import PPMProblem
 from repro.topology import synthetic_rocketfuel
@@ -100,10 +102,9 @@ def test_gate_internet_scale_colgen(benchmark, _bench_records, internet_scale_pr
 
     instr.reset()
     start = time.perf_counter()
-    mono_session = PPMSession(
-        problem, backend="simplex", decomposition="off", time_limit=_MONO_TIME_LIMIT
-    )
-    mono_solution = mono_session._session.solve()
+    mono_session = PPMSession(problem, backend="simplex", time_limit=_MONO_TIME_LIMIT)
+    with mock.patch.object(colgen, "_COLGEN_MIN_COLS", 10**9):
+        mono_solution = mono_session._session.solve()
     mono_time = time.perf_counter() - start
     mono_counters = instr.snapshot()
     _bench_records["wall"]["internet_lp2[monolithic]"] = round(mono_time, 3)
@@ -117,7 +118,7 @@ def test_gate_internet_scale_colgen(benchmark, _bench_records, internet_scale_pr
         assert mono_solution.objective == pytest.approx(_EXPECTED_OBJECTIVE, abs=1e-5)
 
     instr.reset()
-    colgen_session = PPMSession(problem, backend="simplex", decomposition="colgen")
+    colgen_session = PPMSession(problem, backend="simplex")
     start = time.perf_counter()
     solution = benchmark.pedantic(colgen_session._session.solve, rounds=1, iterations=1)
     colgen_time = time.perf_counter() - start

@@ -1,17 +1,18 @@
-"""Rocketfuel-scale LP benchmark: Forrest-Tomlin + devex vs dense-eta Dantzig.
+"""Rocketfuel-scale LP benchmark: Forrest-Tomlin + devex vs Forrest-Tomlin + Dantzig.
 
 The paper-sized POP benchmarks (132 traffics, ~180 canonical columns) never
-stress the numeric core: their bases are small enough that dense eta files
-and Dantzig pricing are adequate.  This benchmark builds the PPM compact
+stress the numeric core: their bases are small enough that Dantzig pricing
+is adequate.  This benchmark builds the PPM compact
 formulation (Linear program 2) on a Rocketfuel-like synthetic ISP topology
 -- ~1,300 canonical columns, ~970 inequality rows -- and solves its root LP
 relaxation with the in-house simplex under two configurations:
 
-* **baseline**: dense product-form eta updates (``_FORCE_DENSE_ETA``) and
-  Dantzig pricing -- the numeric core as it stood before the Forrest-Tomlin
-  work, with a bounded iteration budget;
-* **new**: sparse Forrest-Tomlin spike updates and devex/partial pricing
-  (the ``pricing="auto"`` resolution at this size).
+* **baseline**: Dantzig pricing, forced by patching the devex column
+  threshold (``simplex._DEVEX_MIN_COLS``) out of reach, with a bounded
+  iteration budget;
+* **new**: devex/partial pricing, which the threshold picks at this size.
+
+Both arms use sparse Forrest-Tomlin spike updates.
 
 The baseline is not merely slow here -- the coverage LP is massively primal
 degenerate (one coverage row couples hundreds of ``delta`` columns against
@@ -44,14 +45,14 @@ from repro.traffic import DemandConfig, generate_traffic_matrix
 
 #: Fraction of ingress/egress pairs carrying demand.  0.03 puts the lowered
 #: root relaxation at ~1,300 columns / ~970 rows -- the smallest size where
-#: the dense-eta + Dantzig baseline deterministically fails to converge.
+#: the Dantzig baseline deterministically fails to converge.
 _PAIR_FRACTION = 0.03
 
-#: Iteration budget for the baseline arm.  Dantzig phase 1 needs upwards of
-#: 57k iterations before its degenerate-stall abort on this instance, so
-#: 40k makes the (deterministic) failure fast while staying far above any
-#: budget a converging solve would need (the devex arm finishes in ~9k
-#: pivots, recovery rungs included).
+#: Iteration budget per phase for the baseline arm.  It stays far above
+#: any budget a converging solve would need (the devex arm finishes in ~10k
+#: pivots, recovery rungs included) while bounding the (deterministic)
+#: failure: Dantzig walks the whole recovery ladder and gives up after
+#: ~95k pivots in total.
 _BASELINE_MAX_ITER = 40_000
 
 #: Required speedup of the new numeric core over the baseline's time-to-fail.
@@ -75,7 +76,7 @@ def rocketfuel_root_form():
 def test_gate_rocketfuel_root_relaxation_speedup(
     benchmark, _bench_records, rocketfuel_root_form
 ):
-    """Wall-time gate: FT + devex must beat dense-eta + Dantzig by >= 3x.
+    """Wall-time gate: FT + devex must beat FT + Dantzig by >= 3x.
 
     Runs the two arms back to back on the same lowered form, persisting each
     arm's wall-time and counter snapshot separately so the trajectory in
@@ -87,24 +88,20 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     instr.reset()
     start = time.perf_counter()
     base_status = "no-convergence"
-    with mock.patch.object(simplex, "_FORCE_DENSE_ETA", True):
+    with mock.patch.object(simplex, "_DEVEX_MIN_COLS", 10**9):
         try:
-            base_solution = solve_standard_form(
-                form, pricing="dantzig", max_iter=_BASELINE_MAX_ITER
-            )
+            base_solution = solve_standard_form(form, max_iter=_BASELINE_MAX_ITER)
             base_status = base_solution.status.name
         except SolverError:
             pass
     base_time = time.perf_counter() - start
     base_counters = instr.snapshot()
-    _bench_records["wall"]["rocketfuel_root_lp[dense-eta+dantzig]"] = round(base_time, 3)
-    _bench_records["counters"]["rocketfuel_root_lp[dense-eta+dantzig]"] = base_counters
+    _bench_records["wall"]["rocketfuel_root_lp[ft+dantzig]"] = round(base_time, 3)
+    _bench_records["counters"]["rocketfuel_root_lp[ft+dantzig]"] = base_counters
 
     instr.reset()
     start = time.perf_counter()
-    solution = benchmark.pedantic(
-        solve_standard_form, args=(form,), kwargs={"pricing": "devex"}, rounds=1, iterations=1
-    )
+    solution = benchmark.pedantic(solve_standard_form, args=(form,), rounds=1, iterations=1)
     new_time = time.perf_counter() - start
     new_counters = instr.snapshot()
     _bench_records["wall"]["rocketfuel_root_lp[ft+devex]"] = round(new_time, 3)
@@ -112,7 +109,7 @@ def test_gate_rocketfuel_root_relaxation_speedup(
 
     print(
         f"\nrocketfuel root LP ({form.num_vars} vars): "
-        f"baseline[dense-eta+dantzig] {base_status} in {base_time:.2f}s "
+        f"baseline[ft+dantzig] {base_status} in {base_time:.2f}s "
         f"({base_counters['pivots']} pivots, "
         f"{base_counters['degenerate_pivots']} degenerate) vs "
         f"new[ft+devex] {solution.status.name} in {new_time:.2f}s "
@@ -128,16 +125,18 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     assert new_counters["pricing_passes"] > 0
     assert 0 < new_counters["partial_scan_cols"]
     assert base_time >= _SPEEDUP_FLOOR * new_time, (
-        f"FT + devex took {new_time:.2f}s against the dense-eta + Dantzig "
+        f"FT + devex took {new_time:.2f}s against the FT + Dantzig "
         f"baseline's {base_time:.2f}s ({base_status}); the numeric core must "
         f"hold a >= {_SPEEDUP_FLOOR:g}x advantage at Rocketfuel size"
     )
 
 
 def test_rocketfuel_root_relaxation_auto_resolves_to_devex(rocketfuel_root_form):
-    """``pricing="auto"`` must pick devex at this size -- Dantzig cannot
-    solve the instance, so the auto threshold is load-bearing, not a tuning
+    """The column threshold must pick devex at this size -- Dantzig cannot
+    solve the instance, so the threshold is load-bearing, not a tuning
     nicety."""
+    instr.reset()
     solution = solve_standard_form(rocketfuel_root_form)
+    assert instr.get("pricing_passes") > 0
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(_EXPECTED_OBJECTIVE, abs=1e-5)

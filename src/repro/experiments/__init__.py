@@ -4,8 +4,7 @@ Each ``figure*`` function regenerates the data behind one figure of the
 paper (the numbers, not the plot): the workload is generated with the same
 recipe, the competing algorithms are run, and the averaged series the paper
 plots is returned as a list of dictionaries.  The benchmarks under
-``benchmarks/`` and the tables of ``EXPERIMENTS.md`` are produced from these
-functions.
+``benchmarks/`` are produced from these functions.
 """
 
 from repro.experiments.figures import (

@@ -46,7 +46,7 @@ class ExperimentConfig:
         Optional per-solve time limit in seconds for the placement MIPs.  The
         15-router partial-coverage instances can take minutes to *prove*
         optimal even though the incumbent is found quickly; a limit keeps the
-        harness practical and is reported in EXPERIMENTS.md.
+        harness practical.
     mip_gap:
         Optional relative optimality gap for the placement MIPs.
     """

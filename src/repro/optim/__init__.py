@@ -10,12 +10,13 @@ CPLEX plays in the original article:
 * :mod:`repro.optim.simplex` -- a sparse revised simplex for linear
   programs: the basis is kept LU-factorized and maintained with
   Forrest-Tomlin sparse spike updates plus periodic (nnz-budgeted)
-  refactorization, with Dantzig or devex/partial pricing and a
+  refactorization, with Dantzig or devex/partial pricing by size and a
   bounded-variable dual simplex for warm starts
   (:class:`~repro.optim.simplex.SimplexSolver`).  See
   "Pricing and basis-update strategy" below.
 * :mod:`repro.optim.branch_and_bound` -- an incremental branch-and-bound
-  driver: the model is lowered and canonicalized exactly once, nodes carry
+  driver over the in-house simplex (never HiGHS, whatever is installed):
+  the model is lowered and canonicalized exactly once, nodes carry
   only their bound arrays, and each child warm-starts from its parent's
   factorized basis (repaired with dual simplex pivots).
 * :mod:`repro.optim.scipy_backend` -- an optional backend delegating to
@@ -53,8 +54,8 @@ CPLEX plays in the original article:
   take a backend down, jump the deadline clock);
   completely inert -- a single module-flag check -- unless a test arms a
   :class:`~repro.optim.faultinject.FaultPlan`.
-* :mod:`repro.optim.colgen` -- restricted-master column generation
-  (``decomposition="auto"|"off"|"colgen"``): the master LP holds only the
+* :mod:`repro.optim.colgen` -- restricted-master column generation for
+  wide forms on the in-house backends: the master LP holds only the
   active columns (and the rows they can violate), a pricing oracle computes
   reduced costs over the full column universe in CSC blocks without
   materializing inactive columns, and a Lagrangian dual bound drives early
@@ -65,38 +66,32 @@ CPLEX plays in the original article:
 Pricing and basis-update strategy
 ---------------------------------
 
-The revised simplex has two independent performance axes, each with a
-scale-dependent default and an explicit override:
+The revised simplex takes one numeric path per instance; no option or
+environment variable changes it:
 
 * **Basis updates.**  Pivots are recorded as *Forrest-Tomlin sparse
   spikes* -- the compressed nonzeros of the transformed entering column
   plus its pivot row -- so applying the update file during FTRAN/BTRAN
   costs O(nnz-of-spike) instead of O(m) per update.  The factor
   refactorizes when the spike count or the stored-nonzero budget is
-  exhausted, whichever comes first.  The pre-Forrest-Tomlin dense
-  product-form eta file is kept as the equivalence reference behind the
-  ``REPRO_FORCE_DENSE_ETA`` environment toggle (a CI leg re-runs the
-  solver suites with it on; both representations must be the same
-  operator).
-* **Pricing.**  The ``pricing`` solver option takes ``"auto"``
-  (default), ``"dantzig"`` or ``"devex"`` and threads through every
-  in-house path (simplex backend, branch-and-bound node LPs, the CLI
-  ``--pricing`` knob).  ``"dantzig"`` is full most-negative-reduced-cost
-  pricing -- fine for paper-sized instances.  ``"devex"`` maintains
-  devex reference-framework weights and prices in partial (block) scans
-  over the CSC columns, which is what converges on the massively
-  primal-degenerate coverage LPs at Rocketfuel size (Dantzig
-  deterministically stalls there).  ``"auto"`` resolves to devex at or
-  above 600 canonical columns; the ``REPRO_PRICING`` environment
-  variable overrides the auto resolution (explicit arguments win).
-  Bland's rule remains the anti-cycling escape of last resort in every
-  mode, and primal-degenerate stalls escalate to the recovery ladder's
-  bound-shift rung rather than spinning.
+  exhausted, whichever comes first.
+* **Pricing.**  Below 600 canonical columns the simplex uses full
+  most-negative-reduced-cost (Dantzig) pricing -- fine for paper-sized
+  instances.  From 600 columns on
+  it maintains devex reference-framework weights and prices in partial
+  (block) scans over the CSC columns, which is what converges on the
+  massively primal-degenerate coverage LPs at Rocketfuel size (Dantzig
+  deterministically stalls there).  Bland's rule remains the
+  anti-cycling escape of last resort under both rules, and
+  primal-degenerate stalls escalate to the recovery ladder's bound-shift
+  rung rather than spinning.
+* **Decomposition.**  Lowered forms of 4,000 columns or more go to column
+  generation on the in-house backends; smaller ones are solved
+  monolithically.
 
 Solver options (``time_limit``, ``mip_gap``, ``max_iter``, ``max_nodes``,
-``gap_tol``, ``pricing``, ``decomposition``, ``fallback``) use one unified
-vocabulary; the
-matrix of which backend honors which option lives in
+``cuts``, ``max_cut_rounds``, ``presolve``, ``check``, ``fallback``) use one
+unified vocabulary; the matrix of which backend honors which option lives in
 :data:`repro.optim.backend.BACKEND_OPTIONS`, and unknown option names raise
 :class:`~repro.optim.errors.SolverError`.  For parameterized experiments
 that re-solve one model under drifting data, lower it once with

@@ -25,26 +25,30 @@ Option              scipy     simplex    branch-and-bound
 ``mip_gap``         yes(MIP)  --         yes
 ``max_iter``        yes(LP)   yes        yes (node LPs)
 ``max_nodes``       --        --         yes
-``gap_tol``         --        --         yes
 ``check``           yes       yes        yes
 ``presolve``        yes       yes        yes
 ``cuts``            --        --         yes
 ``max_cut_rounds``  --        --         yes
-``pricing``         ignored   yes        yes (node LPs)
 ``fallback``        yes       yes        yes
-``decomposition``   ignored   yes        yes
 ==================  ========  =========  ==================
 
 ``mip_gap`` is a *relative* optimality gap everywhere (HiGHS
-``mip_rel_gap`` semantics); ``gap_tol`` is the in-house branch-and-bound's
-absolute fathoming tolerance.  ``max_iter`` bounds simplex iterations, and on
-the branch-and-bound backend it is forwarded to every node LP solve.
+``mip_rel_gap`` semantics); the in-house branch and bound also fathoms
+nodes within the absolute
+:data:`repro.optim.branch_and_bound.ABS_GAP_TOL` of the incumbent.
+``max_iter`` bounds simplex iterations, and on the branch-and-bound backend
+it is forwarded to every node LP solve.
 
-``pricing`` (``"auto"`` by default, ``"dantzig"`` | ``"devex"``) selects
-the in-house simplex entering rule (see :mod:`repro.optim.simplex`);
-unknown values raise ``ValueError`` at option-checking time.  HiGHS runs
-its own pricing, so the scipy backend accepts the option for portability
-but ignores it.
+The in-house numeric path depends on the instance only, never on an
+option: the simplex prices with devex at or above
+:data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns (Dantzig
+below), and both in-house backends solve a lowered form by the
+restricted-master column generation of :mod:`repro.optim.colgen` once it
+has :data:`repro.optim.colgen._COLGEN_MIN_COLS` columns.  On a
+:class:`SolverSession` the column-generation path skips presolve on purpose
+(presolve reindexes columns, which would invalidate
+:class:`repro.optim.colgen.ColGenHints` indices and in-place patches) and
+keeps the active column set plus warm basis across re-solves.
 
 ``time_limit`` (seconds, positive and finite -- anything else raises
 ``ValueError`` at option-checking time) is turned into a single
@@ -69,18 +73,6 @@ reductions are applied exactly when the resolved backend will enforce
 integrality (i.e. not on the ``simplex`` backend, which solves the LP
 relaxation).  ``cuts`` (``"auto"``/``"off"``) and ``max_cut_rounds`` steer
 the branch-and-bound root cutting-plane loop (:mod:`repro.optim.cuts`).
-
-``decomposition`` (``"auto"`` by default, ``"off"`` | ``"colgen"``) selects
-the restricted-master / pricing column generation of
-:mod:`repro.optim.colgen` on the in-house backends.  ``"auto"`` honors the
-``REPRO_DECOMPOSITION`` environment override and otherwise engages column
-generation once the lowered form is wide enough to pay for it
-(:data:`repro.optim.colgen._COLGEN_MIN_COLS` columns); HiGHS runs its own
-algebra, so the scipy backend accepts the option for portability but
-ignores it.  On a :class:`SolverSession` the column-generation path skips
-presolve on purpose (presolve reindexes columns, which would invalidate
-:class:`repro.optim.colgen.ColGenHints` indices and in-place patches) and
-keeps the active column set plus warm basis across re-solves.
 
 ``check`` runs the pre-solve static analyzer
 (:mod:`repro.optim.analysis`) over the lowered :class:`StandardForm` before
@@ -138,26 +130,13 @@ BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
             "max_iter",
             "check",
             "presolve",
-            "pricing",
             "fallback",
-            "decomposition",
         }
     ),
-    "simplex": frozenset(
-        {
-            "max_iter",
-            "time_limit",
-            "check",
-            "presolve",
-            "pricing",
-            "fallback",
-            "decomposition",
-        }
-    ),
+    "simplex": frozenset({"max_iter", "time_limit", "check", "presolve", "fallback"}),
     "branch-and-bound": frozenset(
         {
             "max_nodes",
-            "gap_tol",
             "mip_gap",
             "max_iter",
             "time_limit",
@@ -165,9 +144,7 @@ BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
             "presolve",
             "cuts",
             "max_cut_rounds",
-            "pricing",
             "fallback",
-            "decomposition",
         }
     ),
 }
@@ -223,16 +200,6 @@ def _check_options(backend: str, options: Dict[str, Any]) -> None:
                 f"time_limit must be a positive finite number of seconds, "
                 f"got {time_limit!r}"
             )
-    pricing = options.get("pricing")
-    if pricing is not None:
-        from repro.optim.simplex import _validate_pricing
-
-        _validate_pricing(pricing)
-    decomposition = options.get("decomposition")
-    if decomposition is not None:
-        from repro.optim.colgen import validate_decomposition
-
-        validate_decomposition(decomposition)
 
 
 def _pop_check_mode(options: Dict[str, Any]) -> str:
@@ -266,6 +233,7 @@ def _solve_form(
     is_mip: bool,
     backend: str,
     options: Dict[str, Any],
+    allow_colgen: bool = True,
 ) -> Solution:
     """Presolve an already-lowered ``StandardForm``, dispatch, postsolve.
 
@@ -275,7 +243,9 @@ def _solve_form(
     receives original-space values.  The :class:`SolverSession` warm-simplex
     path bypasses this function on purpose: presolve rebuilds the sparse
     matrices (dropping explicit zeros), which would invalidate the session's
-    in-place coefficient patches and warm-start bases.
+    in-place coefficient patches and warm-start bases.  ``allow_colgen=False``
+    keeps a wide form on the monolithic in-house path (the session's retry
+    after a failed column-generation run).
     """
     options = dict(options)
     presolve_mode = _pop_presolve_mode(options)
@@ -286,7 +256,7 @@ def _solve_form(
     if presolve_mode == "off" or len(form.names) != form.num_vars:
         # Forms without a full name vector cannot round-trip through the
         # value dict; solve them directly.
-        return dispatch(form, is_mip, backend, options, deadline)
+        return dispatch(form, is_mip, backend, options, deadline, allow_colgen)
 
     from repro.optim.presolve import presolve as run_presolve
 
@@ -306,7 +276,7 @@ def _solve_form(
             values=values,
             backend="presolve",
         )
-    return post.restore(dispatch(reduced, is_mip, backend, options, deadline))
+    return post.restore(dispatch(reduced, is_mip, backend, options, deadline, allow_colgen))
 
 
 def _dispatch_form(
@@ -315,6 +285,7 @@ def _dispatch_form(
     backend: str,
     options: Dict[str, Any],
     deadline: Optional[Deadline] = None,
+    allow_colgen: bool = True,
 ) -> Solution:
     """Dispatch an already-lowered ``StandardForm`` to a concrete backend."""
     if faultinject.ACTIVE:
@@ -336,44 +307,31 @@ def _dispatch_form(
             max_iter=options.get("max_iter"),
             time_limit=remaining,
         )
-    if backend == "simplex":
-        from repro.optim.colgen import resolve_decomposition, solve_form_colgen
-        from repro.optim.simplex import solve_standard_form
+    from repro.optim.colgen import solve_form_colgen, use_colgen
 
-        decomposition = resolve_decomposition(
-            options.get("decomposition", "auto"), form.num_vars
-        )
-        if decomposition == "colgen":
-            return solve_form_colgen(form, is_mip=False, options=options, deadline=deadline)
-        return solve_standard_form(
-            form,
-            max_iter=options.get("max_iter", 100_000),
-            deadline=deadline,
-            pricing=options.get("pricing", "auto"),
-        )
-    # branch-and-bound
-    from repro.optim.branch_and_bound import solve_milp
-    from repro.optim.colgen import resolve_decomposition, solve_form_colgen
-
+    is_bnb = backend == "branch-and-bound"
     max_cut_rounds = options.get("max_cut_rounds", 5)
-    if not isinstance(max_cut_rounds, int) or max_cut_rounds < 0:
+    if is_bnb and (not isinstance(max_cut_rounds, int) or max_cut_rounds < 0):
         raise SolverError(
             f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
         )
-    decomposition = resolve_decomposition(
-        options.get("decomposition", "auto"), form.num_vars
-    )
-    if decomposition == "colgen":
-        return solve_form_colgen(form, is_mip=True, options=options, deadline=deadline)
+    if allow_colgen and use_colgen(form.num_vars):
+        return solve_form_colgen(form, is_mip=is_bnb, options=options, deadline=deadline)
+    if not is_bnb:
+        from repro.optim.simplex import solve_standard_form
+
+        return solve_standard_form(
+            form, max_iter=options.get("max_iter", 100_000), deadline=deadline
+        )
+    from repro.optim.branch_and_bound import solve_milp
+
     return solve_milp(
         form,
         max_nodes=options.get("max_nodes", 100_000),
-        gap_tol=options.get("gap_tol", 1e-9),
         mip_gap=options.get("mip_gap"),
         max_iter=options.get("max_iter"),
         cuts=options.get("cuts", "auto"),
         max_cut_rounds=max_cut_rounds,
-        pricing=options.get("pricing", "auto"),
         deadline=deadline,
     )
 
@@ -401,6 +359,7 @@ def _run_with_failover(
     backend: str,
     options: Dict[str, Any],
     deadline: Optional[Deadline] = None,
+    allow_colgen: bool = True,
 ) -> Solution:
     """``fallback="auto"`` driver: primary backend, alternate family, greedy.
 
@@ -422,7 +381,7 @@ def _run_with_failover(
     for pos, alt in enumerate(chain):
         succ = chain[pos + 1] if pos + 1 < len(chain) else "greedy"
         try:
-            solution = _dispatch_form(form, is_mip, alt, options, deadline)
+            solution = _dispatch_form(form, is_mip, alt, options, deadline, allow_colgen)
         except SolverError as exc:
             errors.append(f"{alt}: {exc}")
             rungs.append(f"{alt}->{succ}")
@@ -546,8 +505,8 @@ class SolverSession:
         """Install model-specific column-generation hints for this session.
 
         The hints (initial columns, expansion order, dual completion -- see
-        :class:`repro.optim.colgen.ColGenHints`) are consumed when the
-        ``decomposition`` option resolves to ``"colgen"`` and are indexed
+        :class:`repro.optim.colgen.ColGenHints`) are consumed when the form
+        is wide enough for column generation and are indexed
         against this session's *unpresolved* lowered form, which is why the
         session column-generation path never runs presolve.  Installing new
         hints discards the current decomposition state (active columns and
@@ -684,7 +643,7 @@ class SolverSession:
         return solution
 
     def _solve_colgen(self, merged: Dict[str, Any]) -> Solution:
-        """Session column-generation path (``decomposition`` -> ``"colgen"``).
+        """Session column-generation path (forms of ``_COLGEN_MIN_COLS``+ columns).
 
         Bypasses presolve by design -- presolve reindexes columns, which
         would break both the hint indices and the session's in-place
@@ -697,7 +656,6 @@ class SolverSession:
         from repro.optim.colgen import ColumnGeneration
 
         merged = dict(merged)
-        merged.pop("decomposition", None)
         _pop_presolve_mode(merged)
         fallback_mode = _pop_fallback_mode(merged)
         time_limit = merged.pop("time_limit", None)
@@ -708,11 +666,9 @@ class SolverSession:
                 self.form,
                 hints=self._colgen_hints,
                 is_mip=colgen_mip,
-                pricing=merged.get("pricing", "auto"),
                 max_iter=merged.get("max_iter"),
             )
         else:
-            self._colgen.pricing = merged.get("pricing", "auto")
             self._colgen.max_iter = merged.get("max_iter")
         if self._coeffs_dirty:
             self._colgen.refresh_data()
@@ -731,11 +687,10 @@ class SolverSession:
                 f"column generation failed ({exc}); retrying monolithically",
             )
             retry = dict(merged)
-            retry["decomposition"] = "off"
             retry["fallback"] = "auto"
             if deadline is not None:
                 retry["time_limit"] = deadline.remaining_or_none()
-            return _solve_form(self.form, self._is_mip, self.backend, retry)
+            return _solve_form(self.form, self._is_mip, self.backend, retry, allow_colgen=False)
 
     def solve(self, raise_on_infeasible: bool = False, **options: Any) -> Solution:
         """Re-solve against the current (patched) matrices.
@@ -750,16 +705,9 @@ class SolverSession:
         check_mode = _pop_check_mode(merged)
         analysis.enforce(self.form, check_mode, label=self.model.name)
 
-        decomposition = "off"
-        if self.backend in ("simplex", "branch-and-bound"):
-            from repro.optim.colgen import resolve_decomposition
+        from repro.optim.colgen import use_colgen
 
-            decomposition = resolve_decomposition(
-                merged.get("decomposition", "auto"), self.form.num_vars
-            )
-            merged["decomposition"] = decomposition
-
-        if decomposition == "colgen":
+        if self.backend != "scipy" and use_colgen(self.form.num_vars):
             solution = self._solve_colgen(merged)
         elif self.backend == "simplex" and not self._is_mip:
             from repro.optim.simplex import SimplexSolver
@@ -769,7 +717,6 @@ class SolverSession:
             deadline = Deadline(time_limit) if time_limit is not None else None
             if self._simplex is None:
                 self._simplex = SimplexSolver(self.form)
-            self._simplex.pricing = merged.get("pricing", "auto")
             if self._coeffs_dirty:
                 # Bounds, right-hand sides and objective coefficients are
                 # re-read by every solve; only matrix-coefficient patches

@@ -12,12 +12,13 @@ bound -- the ones pseudocosts learn to rank first -- pay the full setup cost.
 The search is *incremental*: the :class:`~repro.optim.model.StandardForm` is
 lowered once, every node only carries its own ``lb``/``ub`` arrays, and the
 node LP solver receives those bounds directly (no per-node matrix rebuild).
-When the in-house sparse revised simplex is the node solver, the whole tree
-shares a single canonicalization and sparse structure (bounds are implicit
-data in the bounded-variable simplex, so per-node work is just bound
-patches), and each child warm-starts from its parent's factorized basis --
-typically a handful of dual simplex pivots repair the branching bound
-change, with no phase 1 and no re-canonicalization.
+Every node LP goes to the in-house sparse revised simplex, whatever else is
+installed: the whole tree shares a single canonicalization and sparse
+structure (bounds are implicit data in the bounded-variable simplex, so
+per-node work is just bound patches), and each child warm-starts from its
+parent's factorized basis -- typically a handful of dual simplex pivots
+repair the branching bound change, with no phase 1 and no
+re-canonicalization.
 
 The tree search is preceded by a *cut-and-branch* root loop (``cuts="auto"``,
 see :mod:`repro.optim.cuts`): up to ``max_cut_rounds`` rounds of cover and
@@ -36,7 +37,6 @@ Options honored by this backend (see :func:`repro.optim.backend.solve_model`):
                     incumbent with status ``NODE_LIMIT`` (open nodes are
                     never silently discarded, so the reported bound/gap is
                     correct).
-``gap_tol``         Absolute incumbent gap below which a node is fathomed.
 ``mip_gap``         Relative optimality gap; a node within ``mip_gap *
                     |incumbent|`` of the incumbent is fathomed, mirroring
                     the HiGHS ``mip_rel_gap`` option.
@@ -67,7 +67,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +82,7 @@ from repro.optim.cuts import (
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
-from repro.optim.simplex import _Basis, _CanonicalLP
+from repro.optim.simplex import SimplexSolver, _Basis
 from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import matvec
 
@@ -91,6 +91,9 @@ INT_TOL = 1e-6
 
 #: Constraint-violation tolerance accepted by the rounding heuristic.
 _FEAS_TOL = 1e-7
+
+#: Absolute incumbent gap below which a node is fathomed.
+ABS_GAP_TOL = 1e-9
 
 #: Total strong-branching child-LP probes allowed per ``solve_milp`` call.
 #: Probes only run while a variable's pseudocosts are uninitialized, so the
@@ -164,7 +167,7 @@ class _Node:
     order: int = field(compare=True)
     lb: np.ndarray = field(compare=False, default=None)
     ub: np.ndarray = field(compare=False, default=None)
-    warm_basis: object = field(compare=False, default=None)
+    warm_basis: Optional[_Basis] = field(compare=False, default=None)
     branch_var: int = field(compare=False, default=-1)
     branch_up: bool = field(compare=False, default=False)
     parent_cost: float = field(compare=False, default=math.nan)
@@ -224,10 +227,10 @@ def _fractional_indices(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
     return np.flatnonzero(integral & (distance > INT_TOL))
 
 
-def _rebounded(form: StandardForm, lb: np.ndarray, ub: np.ndarray, zero_objective: bool = False) -> StandardForm:
-    """A view of ``form`` with node bounds (and optionally a zero objective)."""
+def _feasibility_form(form: StandardForm, lb: np.ndarray, ub: np.ndarray) -> StandardForm:
+    """A view of ``form`` with node bounds and a zero objective."""
     return StandardForm(
-        c=np.zeros_like(form.c) if zero_objective else form.c,
+        c=np.zeros_like(form.c),
         A_ub=form.A_ub,
         b_ub=form.b_ub,
         A_eq=form.A_eq,
@@ -236,72 +239,19 @@ def _rebounded(form: StandardForm, lb: np.ndarray, ub: np.ndarray, zero_objectiv
         ub=ub,
         integrality=form.integrality,
         names=form.names,
-        objective_offset=0.0 if zero_objective else form.objective_offset,
-        maximize=False if zero_objective else form.maximize,
+        objective_offset=0.0,
+        maximize=False,
     )
-
-
-def _make_node_solver(
-    form: StandardForm,
-    lp_solver: Optional[Callable[[StandardForm], Solution]],
-    max_iter: Optional[int],
-    deadline: Optional[Deadline] = None,
-    pricing: str = "auto",
-) -> Tuple[
-    Callable[[np.ndarray, np.ndarray, object], Tuple[Solution, object]],
-    Optional[object],
-]:
-    """Build the per-node LP solver closure.
-
-    Three flavors, in order of preference: a user-supplied callable (legacy
-    interface, gets a re-bounded ``StandardForm``), SciPy's HiGHS with direct
-    bound overrides, or the in-house :class:`~repro.optim.simplex.SimplexSolver`
-    with warm starts.  The second element is the in-house simplex session on
-    that path (``None`` otherwise); the root cut loop reads the factorized
-    basis off it to separate Gomory cuts.
-    """
-    if lp_solver is not None:
-        def solve_custom(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-            """Solve one node LP via the caller-supplied solver (no warm state)."""
-            return lp_solver(_rebounded(form, lb, ub)), None
-
-        return solve_custom, None
-
-    from repro.optim import scipy_backend
-
-    if scipy_backend.is_available():
-        def solve_scipy(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-            """Solve one node LP through HiGHS with the remaining deadline."""
-            remaining = deadline.remaining_or_none() if deadline is not None else None
-            return (
-                scipy_backend.solve_lp(form, lb=lb, ub=ub, max_iter=max_iter, time_limit=remaining),
-                None,
-            )
-
-        return solve_scipy, None
-
-    from repro.optim.simplex import SimplexSolver
-
-    session = SimplexSolver(form, max_iter=max_iter or 100_000, pricing=pricing)
-
-    def solve_simplex(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-        """Solve one node LP in-house, warm-started from the parent basis."""
-        return session.solve(lb=lb, ub=ub, warm_basis=warm, deadline=deadline)
-
-    return solve_simplex, session
 
 
 def solve_milp(
     form: StandardForm,
-    lp_solver: Optional[Callable[[StandardForm], Solution]] = None,
     max_nodes: int = 100_000,
-    gap_tol: float = 1e-9,
     mip_gap: Optional[float] = None,
     max_iter: Optional[int] = None,
     time_limit: Optional[float] = None,
     cuts: str = "auto",
     max_cut_rounds: int = 5,
-    pricing: str = "auto",
     deadline: Optional[Deadline] = None,
 ) -> Solution:
     """Solve a mixed-integer program by branch and bound.
@@ -309,20 +259,13 @@ def solve_milp(
     Parameters
     ----------
     form:
-        Problem in standard (minimization) form.
-    lp_solver:
-        Callable solving the LP relaxation of a ``StandardForm``.  Defaults to
-        SciPy's HiGHS LP solver when importable (fast and numerically robust
-        on the larger placement relaxations) and falls back to the in-house
-        simplex (:class:`repro.optim.simplex.SimplexSolver`, with per-node
-        warm starts) otherwise; either way the branch-and-bound logic itself
-        is this module's.
+        Problem in standard (minimization) form.  Every node LP is solved
+        by the in-house simplex (:class:`repro.optim.simplex.SimplexSolver`,
+        with per-node warm starts).
     max_nodes:
         Safety limit on the number of explored nodes.  The limit is checked
         *before* a node is popped, so hitting it never discards an open node
         and a ``NODE_LIMIT`` result reflects a resumable frontier.
-    gap_tol:
-        Absolute gap below which a node is fathomed against the incumbent.
     mip_gap:
         Optional relative gap; nodes within ``mip_gap * |incumbent|`` of the
         incumbent are fathomed (same semantics as HiGHS ``mip_rel_gap``).
@@ -343,11 +286,6 @@ def solve_milp(
         baseline).
     max_cut_rounds:
         Maximum number of root separation rounds under ``cuts="auto"``.
-    pricing:
-        Simplex pricing rule for the in-house node LP path
-        (``"auto"`` | ``"dantzig"`` | ``"devex"``, see
-        :mod:`repro.optim.simplex`); ignored when nodes are solved by a
-        custom ``lp_solver`` or SciPy.
 
     Returns
     -------
@@ -364,21 +302,20 @@ def solve_milp(
         raise SolverError(f"cuts must be 'auto' or 'off', got {cuts!r}")
     if deadline is None and time_limit is not None:
         deadline = Deadline(time_limit)
-    node_solver, simplex_session = _make_node_solver(
-        form, lp_solver, max_iter, deadline, pricing=pricing
-    )
+    node_iter = max_iter or 100_000
+    session = SimplexSolver(form, max_iter=node_iter)
     sign = -1.0 if form.maximize else 1.0
 
-    # Cut-and-branch root loop: separate cover and (on the in-house simplex
-    # path) Gomory mixed-integer cuts against the root relaxation, append
-    # them to A_ub, rebuild the node solver over the extended form, repeat.
+    # Cut-and-branch root loop: separate cover and Gomory mixed-integer cuts
+    # against the root relaxation, append them to A_ub, rebuild the node
+    # solver over the extended form, repeat.
     # Every cut is valid for the full integer hull, so the tree search below
     # (including its rounding heuristic) runs unchanged over the new form.
     if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):
         for _ in range(max_cut_rounds):
             if deadline is not None and deadline.expired():
                 break  # whatever was separated so far still tightens the root
-            relax, basis = node_solver(form.lb, form.ub, None)
+            relax, basis = session.solve(deadline=deadline)
             if relax.status is not SolveStatus.OPTIMAL:
                 break  # infeasible/unbounded roots are the main loop's business
             x_root = np.array([relax.values[name] for name in form.names])
@@ -386,17 +323,13 @@ def solve_milp(
                 break  # root already integral: no point cutting
             new_cuts = separate_implied_cardinality_cuts(form, x_root, deadline=deadline)
             new_cuts += separate_cover_cuts(form, x_root, deadline=deadline)
-            if simplex_session is not None:
-                lp = getattr(simplex_session, "_lp", None)
-                if isinstance(lp, _CanonicalLP) and isinstance(basis, _Basis):
-                    new_cuts += separate_gomory_cuts(lp, basis, form, x_root, deadline=deadline)
+            if session._lp is not None and basis is not None:
+                new_cuts += separate_gomory_cuts(session._lp, basis, form, x_root, deadline=deadline)
             if not new_cuts:
                 break
             form = append_cut_rows(form, new_cuts)
             instr.add("cuts_added", len(new_cuts))
-            node_solver, simplex_session = _make_node_solver(
-                form, lp_solver, max_iter, deadline, pricing=pricing
-            )
+            session = SimplexSolver(form, max_iter=node_iter)
 
     def relaxation_cost(solution: Solution) -> float:
         """LP objective in minimization sense (undo the model-sense flip)."""
@@ -411,7 +344,7 @@ def solve_milp(
         """Fathoming threshold against the incumbent (absolute + relative gap)."""
         if incumbent_cost == math.inf:
             return math.inf
-        slack = gap_tol
+        slack = ABS_GAP_TOL
         if mip_gap is not None:
             slack = max(slack, mip_gap * abs(incumbent_cost))
         return incumbent_cost - slack
@@ -426,12 +359,9 @@ def solve_milp(
         budget.
         """
         probe = solve_milp(
-            _rebounded(form, lb, ub, zero_objective=True),
-            lp_solver=lp_solver,
+            _feasibility_form(form, lb, ub),
             max_nodes=max(budget, 1),
-            gap_tol=gap_tol,
             max_iter=max_iter,
-            pricing=pricing,
             deadline=deadline,
             cuts="off",  # a zero objective makes every fractional point uncuttable
         )
@@ -473,7 +403,9 @@ def solve_milp(
         nodes_explored += 1
         instr.add("bb_nodes")
 
-        relax, basis = node_solver(node.lb, node.ub, node.warm_basis)
+        relax, basis = session.solve(
+            lb=node.lb, ub=node.ub, warm_basis=node.warm_basis, deadline=deadline
+        )
         if relax.status is SolveStatus.INFEASIBLE:
             continue
         if relax.status is SolveStatus.UNBOUNDED:
@@ -498,11 +430,11 @@ def solve_milp(
             deadline_hit = True
             break
         if relax.status is not SolveStatus.OPTIMAL:
-            # A node LP that hit an iteration limit (or errored) proves
-            # nothing about its subtree; silently fathoming it could turn a
-            # feasible MILP into a reported INFEASIBLE or an unexplored
-            # subtree into a claimed OPTIMAL.  Fail loudly instead, matching
-            # the in-house node solver which raises on non-convergence.
+            # A node LP that hit a limit (or errored) proves nothing about
+            # its subtree; silently fathoming it could turn a feasible MILP
+            # into a reported INFEASIBLE or an unexplored subtree into a
+            # claimed OPTIMAL.  Fail loudly instead, as the simplex itself
+            # does on non-convergence.
             raise SolverError(
                 f"node LP solve returned status {relax.status.value!r}; "
                 "raise max_iter/time_limit or use another backend"
@@ -551,7 +483,7 @@ def solve_milp(
         # exact child bounds: an infeasible or above-cutoff side is fathomed
         # without ever becoming a node, and a surviving side enters the heap
         # with its true LP bound and its own repaired basis.
-        probe_results: Dict[int, List[Optional[Tuple[float, object]]]] = {}
+        probe_results: Dict[int, List[Optional[Tuple[float, Optional[_Basis]]]]] = {}
         if sb_budget > 0:
             centrality = np.argsort(np.abs(frac - 0.5), kind="stable")
             needs_init = [
@@ -562,7 +494,7 @@ def solve_milp(
                     break
                 floor_j = math.floor(x[j] + INT_TOL)
                 frac_j = x[j] - floor_j
-                outcomes: List[Optional[Tuple[float, object]]] = [None, None]
+                outcomes: List[Optional[Tuple[float, Optional[_Basis]]]] = [None, None]
                 for up in (False, True):
                     probe_lb, probe_ub = node.lb.copy(), node.ub.copy()
                     if up:
@@ -572,7 +504,9 @@ def solve_milp(
                     if probe_lb[j] > probe_ub[j]:
                         outcomes[int(up)] = (math.inf, None)  # empty side
                         continue
-                    child, child_basis = node_solver(probe_lb, probe_ub, basis)
+                    child, child_basis = session.solve(
+                        lb=probe_lb, ub=probe_ub, warm_basis=basis, deadline=deadline
+                    )
                     sb_budget -= 1
                     instr.add("strong_branch_probes")
                     if child.status is SolveStatus.INFEASIBLE:

@@ -7,8 +7,8 @@ ROADMAP's target sizes (thousands of links, 10^4..10^5+ traffic pairs) that
 is the wrong shape: the paper's coverage LPs are solved by a small working
 set of columns, and the rest exist only to be priced out.
 
-This module implements the decomposition behind the ``decomposition``
-solver option:
+The in-house backends switch to this decomposition once a lowered form
+has :data:`_COLGEN_MIN_COLS` columns or more:
 
 * **Restricted master.**  A :class:`~repro.optim.model.StandardForm` slice
   holding only the *active* columns and the *active* inequality rows.  A
@@ -49,7 +49,7 @@ solver option:
   point is feasible for the full MILP by the row-activity argument above;
   optimality is *claimed* only when the integer objective meets the
   Lagrangian LP bound (integral-objective rounding argument or the
-  ``mip_gap`` / ``gap_tol`` tolerances) -- otherwise the solution reports
+  ``mip_gap`` / absolute gap tolerances) -- otherwise the solution reports
   ``FEASIBLE`` with the honest remaining gap.
 
 Invariants shared with the rest of the stack: at most one ``Deadline``
@@ -65,7 +65,6 @@ counted as the ``recovery_reprice`` rung.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -88,27 +87,16 @@ from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import SparseMatrix
 
 __all__ = [
-    "DECOMPOSITION_MODES",
     "ColGenHints",
     "ColumnGeneration",
-    "resolve_decomposition",
     "solve_form_colgen",
-    "validate_decomposition",
+    "use_colgen",
 ]
 
-#: Values accepted by the ``decomposition`` solver option.
-DECOMPOSITION_MODES = ("auto", "off", "colgen")
-
-#: Column count at which ``decomposition="auto"`` switches the in-house
-#: backends to column generation (mirrors the devex auto threshold: below
-#: this the monolithic lowering is small enough that decomposition overhead
-#: cannot pay for itself).
+#: Column count at which the in-house backends switch to column generation
+#: (below this the monolithic lowering is small enough that decomposition
+#: overhead cannot pay for itself).
 _COLGEN_MIN_COLS = 4000
-
-#: Environment override consulted by ``"auto"`` resolution (CI matrix legs
-#: force a mode for a whole run without touching call sites), mirroring
-#: ``REPRO_PRICING``.  Explicit option values always win.
-_DECOMP_ENV = os.environ.get("REPRO_DECOMPOSITION", "")
 
 #: Columns priced per ``rmatvec_range`` batch.
 _PRICE_BLOCK = 4096
@@ -129,28 +117,9 @@ _MAX_ROUNDS = 200
 _EXPAND_CHUNK = 256
 
 
-def validate_decomposition(value: str) -> str:
-    """Validate a ``decomposition`` option value, returning it unchanged."""
-    if value not in DECOMPOSITION_MODES:
-        raise ValueError(
-            f"decomposition must be one of {DECOMPOSITION_MODES}, got {value!r}"
-        )
-    return value
-
-
-def resolve_decomposition(value: str, n_cols: int) -> str:
-    """Resolve ``"auto"`` to a concrete mode for an ``n_cols``-column form.
-
-    Explicit values pass through; ``"auto"`` honors the
-    ``REPRO_DECOMPOSITION`` environment override and otherwise switches to
-    column generation at :data:`_COLGEN_MIN_COLS` columns.
-    """
-    validate_decomposition(value)
-    if value != "auto":
-        return value
-    if _DECOMP_ENV in ("off", "colgen"):
-        return _DECOMP_ENV
-    return "colgen" if n_cols >= _COLGEN_MIN_COLS else "off"
+def use_colgen(n_cols: int) -> bool:
+    """Whether an ``n_cols``-column form is solved by column generation."""
+    return n_cols >= _COLGEN_MIN_COLS
 
 
 @dataclass(frozen=True)
@@ -225,13 +194,11 @@ class ColumnGeneration:
         form: StandardForm,
         hints: Optional[ColGenHints] = None,
         is_mip: bool = False,
-        pricing: str = "auto",
         max_iter: Optional[int] = None,
     ) -> None:
         self.form = form
         self.hints = hints or ColGenHints()
         self.is_mip = is_mip
-        self.pricing = pricing
         self.max_iter = max_iter
         self._A_ub = _as_sparse(form.A_ub)
         self._A_eq = _as_sparse(form.A_eq)
@@ -432,7 +399,7 @@ class ColumnGeneration:
     def _solve_master(
         self, master: StandardForm, deadline: Optional[Deadline]
     ) -> Tuple[Solution, Optional[_Basis]]:
-        solver = SimplexSolver(master, pricing=self.pricing)
+        solver = SimplexSolver(master)
         lp = solver._ensure_canonical(master.lb, master.ub)
         warm: Optional[_Basis] = None
         if self._token is not None and self._prev_lp is not None:
@@ -742,10 +709,11 @@ class ColumnGeneration:
         optimum plus inactive columns at rest -- is feasible for the full
         MILP by the row-activity argument.  Optimality is claimed only when
         the integer objective meets the Lagrangian LP bound (exactly for
-        integral objectives, or within ``gap_tol`` / ``mip_gap``);
+        integral objectives, or within ``mip_gap`` or the absolute
+        :data:`repro.optim.branch_and_bound.ABS_GAP_TOL`);
         otherwise the honest remaining gap is reported with ``FEASIBLE``.
         """
-        from repro.optim.branch_and_bound import solve_milp
+        from repro.optim.branch_and_bound import ABS_GAP_TOL, solve_milp
 
         opts = dict(mip_options or {})
         lp_solution = self.solve_lp(deadline=deadline)
@@ -764,12 +732,10 @@ class ColumnGeneration:
             return solve_milp(
                 form,
                 max_nodes=opts.get("max_nodes", 100_000),
-                gap_tol=opts.get("gap_tol", 1e-9),
                 mip_gap=opts.get("mip_gap"),
                 max_iter=opts.get("max_iter"),
                 cuts=opts.get("cuts", "auto"),
                 max_cut_rounds=opts.get("max_cut_rounds", 5),
-                pricing=opts.get("pricing", "auto"),
                 deadline=deadline,
             )
 
@@ -800,7 +766,7 @@ class ColumnGeneration:
                 # the incumbent; there is no room for a better one.
                 gap = 0.0
             elif gap <= float(opts.get("mip_gap") or 0.0) or (
-                z_min - self.best_bound <= float(opts.get("gap_tol", 1e-9))
+                z_min - self.best_bound <= ABS_GAP_TOL
             ):
                 gap = 0.0
             else:
@@ -829,7 +795,7 @@ def solve_form_colgen(
     """One-shot column-generation solve of a lowered form.
 
     This is the entry point :mod:`repro.optim.backend` dispatches to when
-    the ``decomposition`` option resolves to ``"colgen"``; sessions keep a
+    :func:`use_colgen` holds for the form; sessions keep a
     :class:`ColumnGeneration` instance instead, to preserve the active set
     and warm basis across re-solves.
     """
@@ -837,7 +803,6 @@ def solve_form_colgen(
         form,
         hints=hints,
         is_mip=is_mip,
-        pricing=str(options.get("pricing", "auto")),
         max_iter=options.get("max_iter"),
     )
     if is_mip:

@@ -15,8 +15,7 @@ Three separators are implemented:
   (``x -> 1 - x``) into a plain knapsack ``sum(a_i z_i) <= b``; a greedy
   minimal cover ``C`` with ``sum_{C} a_i > b`` yields
   ``sum_{C} z_i <= |C| - 1``, translated back through the complementation.
-  These need nothing but the form and the fractional point, so they also run
-  when SciPy/HiGHS solves the node LPs.
+  These need nothing but the form and the fractional point.
 * **implied cardinality cuts** (:func:`separate_implied_cardinality_cuts`)
   -- the decisive family on the paper's fixed-charge placements.  A
   variable-upper-bound row ``r <= u * y`` (sampling rate ``r`` gated by a
@@ -27,7 +26,7 @@ Three separators are implemented:
   the cardinality cut ``sum(y_k) >= ceil(rho / max w)`` -- typically
   ``sum(y) >= 1`` per monitored path, or ``sum(y) >= delta_t`` when the
   demand is gated by a coverage indicator.  These are structural (no basis
-  needed), so they also run when SciPy/HiGHS solves the node LPs.
+  needed).
 * **Gomory mixed-integer cuts** (:func:`separate_gomory_cuts`) -- read off
   the factorized basis of the in-house simplex
   (:class:`repro.optim.simplex.SimplexSolver`).  For a basic integer

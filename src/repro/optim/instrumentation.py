@@ -30,8 +30,7 @@ COUNTER_NAMES = (
     "degenerate_pivots",  # primal pivots with a (near-)zero objective step
     "dual_pivots",        # dual simplex (warm-start repair) pivots
     "factorizations",     # basis LU factorizations, initial ones included
-    "refactorizations",   # periodic refactorizations triggered by eta growth
-    "eta_updates",        # basis updates between factorizations (all kinds)
+    "refactorizations",   # periodic refactorizations triggered by spike-file growth
     "ft_updates",         # Forrest-Tomlin sparse-spike basis updates
     "spike_nnz_peak",     # peak stored nonzeros across one factor's spike file
     "pricing_passes",     # devex/partial pricing passes over candidate blocks
@@ -39,7 +38,7 @@ COUNTER_NAMES = (
     "partial_scan_cols",  # columns scanned by partial pricing (sum over passes)
     "canonicalizations",  # StandardForm -> canonical bounded-LP lowerings
     "lp_solves",          # LP solves completed by the in-house simplex
-    "peak_nnz",           # peak stored nonzeros (canonical matrix + eta file)
+    "peak_nnz",           # peak stored nonzeros (canonical matrix + basis factors)
     "analyzer_runs",      # pre-solve static analyzer passes executed
     "analyzer_findings",  # diagnostics emitted across those passes
     "bb_nodes",           # branch-and-bound nodes explored

@@ -21,10 +21,7 @@ Instead of a dense tableau the solver keeps only the basis factorized:
 * a Forrest-Tomlin-style *sparse spike* file of the pivots applied since
   the last factorization: each update stores only the nonzero entries of
   the transformed entering column, so FTRAN/BTRAN pay O(nnz-of-spike) per
-  update instead of the O(m) dense product-form eta application (the
-  reference dense-eta implementation is kept behind the
-  ``REPRO_FORCE_DENSE_ETA`` env toggle for equivalence tests and as the
-  benchmark baseline),
+  update instead of the O(m) of a dense product-form eta,
 * adaptive refactorization, triggered by either an update-count cap or an
   accumulated spike-nonzero budget, which also recomputes the basic values
   to wash out drift.
@@ -33,25 +30,23 @@ Per iteration the work is two triangular solves against the factorization
 (FTRAN/BTRAN), one sparse pricing pass and an O(m) state update -- never
 the O(m*n) full-tableau pivot of the previous implementation.
 
-Pricing is selected by the ``pricing`` option (``"auto"`` | ``"dantzig"``
-| ``"devex"``).  Dantzig's rule prices every column per iteration;
-``"devex"`` runs reference-framework devex pricing with *partial pricing*
-(cyclic candidate scans over contiguous column blocks, priced with
+Pricing depends on the instance only: below :data:`_DEVEX_MIN_COLS`
+canonical columns Dantzig's rule prices every column per iteration; at or
+above it the solver runs reference-framework devex pricing with *partial
+pricing* (cyclic candidate scans over contiguous column blocks, priced with
 :meth:`repro.optim.sparse.SparseMatrix.rmatvec_range`), approximating
 steepest-edge at a fraction of the cost on Rocketfuel-size bases.
-``"auto"`` resolves to devex above :data:`_DEVEX_MIN_COLS` canonical
-columns (overridable via the ``REPRO_PRICING`` env for CI matrix legs).
 Either way the solver switches to Bland's smallest-index rule after
 :data:`_STALL_LIMIT` consecutive degenerate pivots -- the anti-cycling
-escape stays the last rung regardless of pricing mode -- and a stall that
+escape stays the last rung regardless of pricing rule -- and a stall that
 survives even Bland (:data:`_STALL_ABORT` consecutive zero-step pivots, the
 signature of *primal* degeneracy, which no pricing or cost perturbation can
 cure) aborts with :class:`_DegenerateStall` so the recovery ladder's
 bound-shift rung can resolve it on slightly expanded bounds.  The dual
-warm-repair loop uses devex *row* weights for its leaving-row choice under
-``"devex"``; its entering-column choice remains a full bounded ratio test
-(dual feasibility of the repaired basis requires scanning every eligible
-column, so partial pricing is unsound there).
+warm-repair loop uses devex *row* weights for its leaving-row choice on
+devex-sized LPs; its entering-column choice remains a full bounded ratio
+test (dual feasibility of the repaired basis requires scanning every
+eligible column, so partial pricing is unsound there).
 
 Warm starts (branch-and-bound children, parameterized re-solves) restore
 the parent's basis *and* non-basic bound statuses, refactorize once, and
@@ -62,7 +57,6 @@ Options honored (see :func:`repro.optim.backend.solve_model`):
 
 ===============  ==========================================================
 ``max_iter``     Iteration limit applied to each simplex phase.
-``pricing``      ``"auto"`` (default) | ``"dantzig"`` | ``"devex"``.
 warm start       Via :meth:`SimplexSolver.solve` ``warm_basis=``; a basis
                  returned by a previous solve is re-factorized and repaired
                  with dual simplex pivots (or resumed directly when still
@@ -118,17 +112,14 @@ _STALL_ABORT = 2048
 #: unshifted path.
 _SHIFT_PROACTIVE_COLS = 600
 
-#: Dense-eta-file length that triggers a basis refactorization.  A dense
-#: eta costs O(m) per FTRAN / BTRAN, so short eta files beat long ones as
-#: soon as refactorization is cheap; 16 measured best on the pop10
-#: placement MILPs (3.5s vs 7.0s at 64 for the 80-traffic PPME tree).
+#: Spike-count cap between refactorizations is ``2m`` clamped into
+#: ``[_REFACTOR_INTERVAL, _FT_MAX_UPDATES]`` (see
+#: :meth:`_BasisFactor.needs_refactor`).  A spike costs only
+#: O(nnz-of-spike), so large bases profitably carry many updates; small
+#: bases refactorize nearly for free and stay near 16, which measured best
+#: on the pop10 placement MILPs (3.5s vs 7.0s at 64 for the 80-traffic
+#: PPME tree).
 _REFACTOR_INTERVAL = 16
-
-#: Hard cap on Forrest-Tomlin spike updates between refactorizations.  A
-#: spike costs only O(nnz-of-spike), so large bases can profitably carry
-#: far more updates than the dense path; small bases stay on a 2m cap
-#: (refactorization is nearly free there), see
-#: :meth:`_BasisFactor.needs_refactor`.
 _FT_MAX_UPDATES = 48
 
 #: Spike-file nonzero budget: refactorize once the accumulated spike
@@ -157,27 +148,13 @@ _DEADLINE_STRIDE = 32
 #: importable -- CI runs the fault-injection suite under both factor paths.
 _FORCE_DENSE_LU = os.environ.get("REPRO_FORCE_DENSE_LU", "") not in ("", "0")
 
-#: Env toggle forcing the reference dense product-form eta file instead of
-#: Forrest-Tomlin sparse spikes -- the equivalence tests and the benchmark
-#: baseline flip this (tests patch the module attribute in-process, so it
-#: is read per factorization, not cached at import).
-_FORCE_DENSE_ETA = os.environ.get("REPRO_FORCE_DENSE_ETA", "") not in ("", "0")
-
-#: Valid values of the ``pricing`` solver option.
-PRICING_MODES = ("auto", "dantzig", "devex")
-
-#: ``pricing="auto"`` resolves to devex at or above this many canonical
-#: columns; below it a full Dantzig sweep is one cheap vector op and the
-#: devex bookkeeping does not pay for itself.  Aligned with
+#: LPs with at least this many canonical columns are priced with devex;
+#: below it a full Dantzig sweep is one cheap vector op and the devex
+#: bookkeeping does not pay for itself.  Aligned with
 #: :data:`_SHIFT_PROACTIVE_COLS`: from this size on the placement LPs are
 #: degenerate enough that Dantzig's fixed most-negative rule stalls where
 #: the devex reference framework prices out of the degenerate cone.
 _DEVEX_MIN_COLS = 600
-
-#: Env override of ``pricing="auto"`` resolution -- lets a CI matrix leg
-#: force devex across an entire test suite without touching call sites.
-#: Explicit ``pricing="dantzig"`` / ``"devex"`` arguments still win.
-_PRICING_ENV = os.environ.get("REPRO_PRICING", "")
 
 #: Column-block width of the partial-pricing candidate scans.
 _PARTIAL_BLOCK = 512
@@ -186,23 +163,6 @@ _PARTIAL_BLOCK = 512
 #: (the reference framework has drifted too far to steer well).
 _DEVEX_RESET_LIMIT = 1e7
 
-
-def _validate_pricing(pricing: str) -> str:
-    """Validate a ``pricing`` option value, mirroring ``time_limit`` style."""
-    if pricing not in PRICING_MODES:
-        raise ValueError(
-            f"pricing must be one of {PRICING_MODES}, got {pricing!r}"
-        )
-    return pricing
-
-
-def _resolve_pricing(pricing: str, n_cols: int) -> str:
-    """Resolve ``"auto"`` to a concrete rule for an ``n_cols``-column LP."""
-    if pricing == "auto" and _PRICING_ENV in ("dantzig", "devex"):
-        return _PRICING_ENV
-    if pricing == "auto":
-        return "devex" if n_cols >= _DEVEX_MIN_COLS else "dantzig"
-    return pricing
 
 try:  # pragma: no cover - exercised implicitly via _BasisFactor
     from scipy.sparse import csc_matrix as _scipy_csc
@@ -434,17 +394,11 @@ class _BasisFactor:
     permutation bookkeeping is implicit -- the pivot row index plays the
     role of Forrest-Tomlin's row permutation, exactly as in the dense
     product form, so applying a spike is O(nnz-of-spike) instead of O(m)).
-    The reference dense-eta representation is kept behind
-    :data:`_FORCE_DENSE_ETA` (read once per factorization so a factor is
-    internally consistent even when tests flip the toggle between solves).
     """
 
     __slots__ = (
         "m",
         "stamp",
-        "_dense_etas",
-        "_etas_r",
-        "_etas_w",
         "_spikes",
         "_spike_nnz",
         "_splu",
@@ -458,9 +412,6 @@ class _BasisFactor:
         m, n_cols = lp.m, lp.n
         self.m = m
         self.stamp = lp.stamp
-        self._dense_etas = _FORCE_DENSE_ETA
-        self._etas_r: List[int] = []
-        self._etas_w: List[np.ndarray] = []
         # Spike tuples (pivot row, pivot value, nonzero rows, nonzero values);
         # the arrays are never written after creation, so clones may share
         # tuples and only copy the list spine.
@@ -531,10 +482,10 @@ class _BasisFactor:
         Lets a warm start resume from the factorization stored in a
         :class:`_Basis` token without refactorizing and without corrupting
         siblings that hold the same token.  Only the list *spines* are
-        copied: the eta vectors and spike tuples themselves are immutable
-        by construction (``update`` always appends freshly-allocated
-        arrays and never writes into a stored one), so a child appending
-        its own updates can never mutate a parent's.
+        copied: the spike tuples themselves are immutable by construction
+        (``update`` always appends freshly-allocated arrays and never
+        writes into a stored one), so a child appending its own updates can
+        never mutate a parent's.
         """
         dup = object.__new__(_BasisFactor)
         dup.m = self.m
@@ -542,25 +493,20 @@ class _BasisFactor:
         dup._splu = self._splu
         dup._inv = self._inv
         dup._base_nnz = self._base_nnz
-        dup._dense_etas = self._dense_etas
-        dup._etas_r = list(self._etas_r)
-        dup._etas_w = list(self._etas_w)
         dup._spikes = list(self._spikes)
         dup._spike_nnz = self._spike_nnz
         return dup
 
-    # -- update file (dense etas or Forrest-Tomlin spikes) ------------------
+    # -- Forrest-Tomlin spike file -----------------------------------------
     @property
     def n_etas(self) -> int:
         """Number of basis updates recorded since the last factorization."""
-        return len(self._etas_r) + len(self._spikes)
+        return len(self._spikes)
 
     def needs_refactor(self) -> bool:
         """True when the update file has outgrown its count/nnz budget."""
-        if self._dense_etas:
-            return len(self._etas_r) >= _REFACTOR_INTERVAL
         # Small bases refactorize almost for free, so cap their update
-        # count near the dense interval; large bases run up to
+        # count near _REFACTOR_INTERVAL; large bases run up to
         # _FT_MAX_UPDATES spikes or the nonzero budget, whichever first.
         cap = min(_FT_MAX_UPDATES, max(_REFACTOR_INTERVAL, 2 * self.m))
         return (
@@ -571,11 +517,6 @@ class _BasisFactor:
     def update(self, row: int, w: np.ndarray) -> None:
         """Record the pivot ``basis[row] <- column with B^-1 a_q == w``."""
         r = int(row)
-        instr.add("eta_updates")
-        if self._dense_etas:
-            self._etas_r.append(r)
-            self._etas_w.append(w)
-            return
         piv = float(w[r])
         keep = np.abs(w) > _SPIKE_DROP_TOL
         keep[r] = False
@@ -602,12 +543,6 @@ class _BasisFactor:
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs`` (LU, then updates oldest-first)."""
         x = self._base_solve(rhs)
-        if self._dense_etas:
-            for r, w in zip(self._etas_r, self._etas_w):
-                xr = x[r] / w[r]
-                x -= w * xr
-                x[r] = xr
-            return x
         for r, piv, idx, vals in self._spikes:
             xr = x[r] / piv
             # Skip-on-zero: entering columns are sparse, so most spikes see
@@ -621,10 +556,6 @@ class _BasisFactor:
     def btran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B^T y = rhs`` (updates newest-first, then LU transpose)."""
         v = rhs.astype(float, copy=True)
-        if self._dense_etas:
-            for r, w in zip(reversed(self._etas_r), reversed(self._etas_w)):
-                v[r] = (v[r] - (w @ v - w[r] * v[r])) / w[r]
-            return self._base_solve_T(v)
         for r, piv, idx, vals in reversed(self._spikes):
             vr = v[r]
             if idx.size:
@@ -787,7 +718,7 @@ def _primal_iterations(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Tuple[str, int]:
     """Bounded-variable primal revised simplex.
 
@@ -797,8 +728,8 @@ def _primal_iterations(
     improves the objective in the direction their bound allows; the ratio
     test accounts for both bounds of every basic variable and for the
     entering variable's own opposite bound (a "bound flip", which costs no
-    basis change at all).  ``pricing`` selects the entering rule
-    (``"dantzig"`` or ``"devex"``, already resolved from ``"auto"``);
+    basis change at all).  ``devex`` selects devex partial pricing over
+    Dantzig's rule as the entering rule;
     ``bland=True`` forces Bland's anti-cycling rule from the first pivot --
     the recovery ladder's answer to numerical cycling, and the same full
     Bland sweep takes over either rule after :data:`_STALL_LIMIT`
@@ -807,7 +738,7 @@ def _primal_iterations(
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
     movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
-    pricer = _DevexPricer(n_cols) if (pricing == "devex" and not bland) else None
+    pricer = _DevexPricer(n_cols) if (devex and not bland) else None
     iterations = 0
     stalled = _STALL_LIMIT if bland else 0
     y: Optional[np.ndarray] = None  # dual prices; None = must recompute
@@ -960,7 +891,7 @@ def _dual_iterations(
     max_iter: int,
     d: Optional[np.ndarray] = None,
     deadline: Optional[Deadline] = None,
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Tuple[str, int]:
     """Restore primal feasibility of a dual-feasible factorized basis.
 
@@ -975,7 +906,7 @@ def _dual_iterations(
     sparse row pass per pivot instead of a from-scratch pricing -- and
     recomputed exactly at every refactorization to wash out drift.
 
-    Under ``pricing="devex"`` the *leaving-row* choice weighs each row's
+    Under ``devex=True`` the *leaving-row* choice weighs each row's
     violation by a devex row weight (the dual analogue of reference-
     framework pricing: ``viol_r^2 / w_r`` approximates the steepest-edge
     row norm); the entering-column choice stays a full bounded ratio test
@@ -994,7 +925,7 @@ def _dual_iterations(
     movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
     if d is None:
         d = _reduced_costs(state, costs)
-    dweights = np.ones(m) if pricing == "devex" else None
+    dweights = np.ones(m) if devex else None
     iterations = 0
     while iterations < max_iter:
         if (
@@ -1127,13 +1058,13 @@ def _finish_primal(
     dual_iters: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Run phase-2 primal pivots and package the result tuple."""
     lp = state.lp
     costs = np.concatenate((lp.c, np.zeros(lp.m)))
     status, iters = _primal_iterations(
-        state, costs, max_iter, deadline=deadline, bland=bland, pricing=pricing
+        state, costs, max_iter, deadline=deadline, bland=bland, devex=devex
     )
     total = dual_iters + iters
     if status in ("unbounded", "deadline"):
@@ -1155,7 +1086,7 @@ def _cold_solve(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Two-phase solve from a crash basis of slacks and signed artificials."""
     m, n_cols = lp.m, lp.n
@@ -1202,7 +1133,7 @@ def _cold_solve(
         unused_arts = n_cols + slack_rows
         upper_ext[unused_arts] = 0.0
         status, phase1_iters = _primal_iterations(
-            state, costs1, max_iter, deadline=deadline, bland=bland, pricing=pricing
+            state, costs1, max_iter, deadline=deadline, bland=bland, devex=devex
         )
         if status == "deadline":
             return "deadline", None, phase1_iters, None
@@ -1217,7 +1148,7 @@ def _cold_solve(
         state.xB[art_basic] = 0.0
 
     return _finish_primal(
-        state, max_iter, phase1_iters, deadline=deadline, bland=bland, pricing=pricing
+        state, max_iter, phase1_iters, deadline=deadline, bland=bland, devex=devex
     )
 
 
@@ -1227,7 +1158,7 @@ def _warm_solve(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     fresh_factor: bool = False,
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Resume from a previous basis; ``None`` means fall back to a cold solve.
 
@@ -1307,14 +1238,14 @@ def _warm_solve(
     primal_ok = bool(np.all(state.xB >= lB - _WARM_FEAS_TOL) and np.all(state.xB <= uB + _WARM_FEAS_TOL))
     if primal_ok:
         np.clip(state.xB, lB, uB, out=state.xB)
-        return _finish_primal(state, max_iter, 0, deadline=deadline, pricing=pricing)
+        return _finish_primal(state, max_iter, 0, deadline=deadline, devex=devex)
     if not dual_ok:
         return None
     if faultinject.ACTIVE and faultinject.should(faultinject.WARM_REPAIR):
         dual_status, dual_iters = "stalled", 0
     else:
         dual_status, dual_iters = _dual_iterations(
-            state, costs, max_iter, d=d, deadline=deadline, pricing=pricing
+            state, costs, max_iter, d=d, deadline=deadline, devex=devex
         )
     if dual_status == "infeasible":
         return "infeasible", None, dual_iters, None
@@ -1329,7 +1260,7 @@ def _warm_solve(
             "falling back to a cold two-phase solve",
         )
         return None
-    return _finish_primal(state, max_iter, dual_iters, deadline=deadline, pricing=pricing)
+    return _finish_primal(state, max_iter, dual_iters, deadline=deadline, devex=devex)
 
 
 def extend_warm_basis(
@@ -1450,7 +1381,7 @@ def _perturbed_solve(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Cold solve under deterministically perturbed costs, then unperturb.
 
@@ -1467,7 +1398,7 @@ def _perturbed_solve(
     jitter = 1e-7 * (1.0 + np.abs(saved_c)) * rng.random(saved_c.shape)
     lp.c = saved_c + jitter
     try:
-        result = _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        result = _cold_solve(lp, max_iter, deadline=deadline, devex=devex)
     finally:
         lp.c = saved_c
     status, _y, iters, token = result
@@ -1476,7 +1407,7 @@ def _perturbed_solve(
     if status != "optimal" or token is None:
         # "unbounded" under jittered costs is not proof for the true costs.
         return None
-    cleanup = _warm_solve(lp, token, max_iter, deadline=deadline, pricing=pricing)
+    cleanup = _warm_solve(lp, token, max_iter, deadline=deadline, devex=devex)
     return cleanup
 
 
@@ -1484,7 +1415,7 @@ def _bound_shifted_solve(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Cold solve under deterministically *expanded* bounds, then repair.
 
@@ -1508,7 +1439,7 @@ def _bound_shifted_solve(
     upper = np.where(np.isfinite(saved_upper), saved_upper + up_shift, saved_upper)
     lp.lower, lp.upper = lower, upper
     try:
-        result = _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        result = _cold_solve(lp, max_iter, deadline=deadline, devex=devex)
     finally:
         lp.lower, lp.upper = saved_lower, saved_upper
     status, _y, iters, token = result
@@ -1516,14 +1447,14 @@ def _bound_shifted_solve(
         return result
     if status != "optimal" or token is None:
         return None
-    return _warm_solve(lp, token, max_iter, deadline=deadline, pricing=pricing)
+    return _warm_solve(lp, token, max_iter, deadline=deadline, devex=devex)
 
 
 def _cold_solve_resilient(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
+    devex: bool = False,
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Cold solve wrapped in the numerical-recovery ladder.
 
@@ -1543,7 +1474,7 @@ def _cold_solve_resilient(
     """
     if lp.n >= _SHIFT_PROACTIVE_COLS:
         try:
-            result = _bound_shifted_solve(lp, max_iter, deadline, pricing=pricing)
+            result = _bound_shifted_solve(lp, max_iter, deadline, devex=devex)
             if result is not None:
                 return result
             failure: _NumericalTrouble = _NumericalTrouble(
@@ -1557,7 +1488,7 @@ def _cold_solve_resilient(
             "retrying on the exact bounds",
         )
     try:
-        return _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        return _cold_solve(lp, max_iter, deadline=deadline, devex=devex)
     except _DegenerateStall as exc:
         # Cost jitter cannot remove zero-length steps; jump straight to
         # the bound-shift rung.
@@ -1566,14 +1497,14 @@ def _cold_solve_resilient(
         failure = exc
         record_rung("perturb", f"cold solve failed ({failure}); retrying with perturbed costs")
         try:
-            result = _perturbed_solve(lp, max_iter, deadline, pricing=pricing)
+            result = _perturbed_solve(lp, max_iter, deadline, devex=devex)
             if result is not None:
                 return result
         except _NumericalTrouble as exc2:
             failure = exc2
     record_rung("bound-shift", f"cold solve failed ({failure}); retrying with shifted bounds")
     try:
-        result = _bound_shifted_solve(lp, max_iter, deadline, pricing=pricing)
+        result = _bound_shifted_solve(lp, max_iter, deadline, devex=devex)
         if result is not None:
             return result
     except _NumericalTrouble as exc:
@@ -1604,14 +1535,9 @@ class SimplexSolver:
     basis whenever one is supplied.
     """
 
-    def __init__(
-        self, form: StandardForm, max_iter: int = 100_000, pricing: str = "auto"
-    ) -> None:
+    def __init__(self, form: StandardForm, max_iter: int = 100_000) -> None:
         self.form = form
         self.max_iter = max_iter
-        #: Pricing rule for subsequent solves; mutable so a session can
-        #: change it between solves without re-canonicalizing.
-        self.pricing = _validate_pricing(pricing)
         self._lp: Optional[_CanonicalLP] = None
 
     def refresh(self) -> None:
@@ -1665,12 +1591,12 @@ class SimplexSolver:
         ub = self.form.ub if ub is None else np.asarray(ub, dtype=float)
         limit = self.max_iter if max_iter is None else max_iter
         lp = self._ensure_canonical(lb, ub)
-        pricing = _resolve_pricing(_validate_pricing(self.pricing), lp.n)
+        devex = lp.n >= _DEVEX_MIN_COLS
 
         result = None
         if _basis_compatible(warm_basis, lp):
             try:
-                result = _warm_solve(lp, warm_basis, limit, deadline=deadline, pricing=pricing)
+                result = _warm_solve(lp, warm_basis, limit, deadline=deadline, devex=devex)
             except _NumericalTrouble as exc:
                 record_rung(
                     "refactorize",
@@ -1679,13 +1605,12 @@ class SimplexSolver:
                 )
                 try:
                     result = _warm_solve(
-                        lp, warm_basis, limit, deadline=deadline, fresh_factor=True,
-                        pricing=pricing,
+                        lp, warm_basis, limit, deadline=deadline, fresh_factor=True, devex=devex
                     )
                 except _NumericalTrouble:
                     result = None
         if result is None:
-            result = _cold_solve_resilient(lp, limit, deadline, pricing=pricing)
+            result = _cold_solve_resilient(lp, limit, deadline, devex=devex)
         status, y, iterations, token = result
         instr.add("lp_solves")
         solution = _solution_from_canonical(self.form, lp, status, y, iterations)
@@ -1707,14 +1632,11 @@ def solve_standard_form(
     form: StandardForm,
     max_iter: int = 100_000,
     deadline: Optional[Deadline] = None,
-    pricing: str = "auto",
 ) -> Solution:
     """Solve the LP relaxation of a :class:`StandardForm` with the simplex.
 
     Integrality markers are ignored; use
     :func:`repro.optim.branch_and_bound.solve_milp` for exact integer solves.
     """
-    solution, _ = SimplexSolver(form, max_iter=max_iter, pricing=pricing).solve(
-        deadline=deadline
-    )
+    solution, _ = SimplexSolver(form, max_iter=max_iter).solve(deadline=deadline)
     return solution

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.optim import instrumentation as instr
+from repro.optim import scipy_backend, simplex
 
 
 class TestParser:
@@ -31,9 +33,10 @@ class TestParser:
             build_parser().parse_args(["passive", "--preset", "pop1000"])
 
     def test_passive_pricing_knob(self):
-        args = build_parser().parse_args(["passive", "--pricing", "devex"])
-        assert args.pricing == "devex"
-        assert build_parser().parse_args(["passive"]).pricing == "auto"
+        # The pricing rule depends on the instance only; there is no flag.
+        assert not hasattr(build_parser().parse_args(["passive"]), "pricing")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["passive", "--pricing", "devex"])
 
     def test_passive_rejects_unknown_pricing(self):
         with pytest.raises(SystemExit):
@@ -57,25 +60,17 @@ class TestCommands:
         assert "greedy:" in out
         assert "ilp" in out
 
-    def test_passive_command_runs_with_devex_pricing(self, capsys):
-        assert (
-            main(
-                [
-                    "passive",
-                    "--preset",
-                    "pop10",
-                    "--coverage",
-                    "0.85",
-                    "--seed",
-                    "1",
-                    "--pricing",
-                    "devex",
-                ]
-            )
-            == 0
-        )
+    def test_passive_command_runs_with_devex_pricing(self, capsys, monkeypatch):
+        # In-house solvers with devex forced on every LP by moving the
+        # column threshold (pop10 LPs sit below it); a low coverage target
+        # keeps the in-house tree small.
+        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+        monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
+        instr.reset()
+        assert main(["passive", "--preset", "pop10", "--coverage", "0.5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "ilp" in out
+        assert instr.get("pricing_passes") > 0
 
     def test_active_command_runs(self, capsys):
         assert main(["active", "--preset", "pop15", "--candidates", "6", "--seed", "1"]) == 0

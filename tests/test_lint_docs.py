@@ -1,9 +1,10 @@
 """Tests for the doc-sync linter (``tools/check_docs.py``).
 
 The linter introspects ``BACKEND_OPTIONS`` and ``COUNTER_NAMES`` and fails
-when the reference tables in ``docs/`` miss a name.  The real tree must be
-in sync, and a doctored copy with a deliberately undocumented option (or
-counter) must fail -- otherwise the CI gate is vacuous.
+when the reference tables in ``docs/`` miss a name, or list an option,
+counter or environment variable the code no longer has.  The real tree must
+be in sync, and doctored copies with a deliberately undocumented or stale
+name must fail -- otherwise the CI gate is vacuous.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -53,15 +56,44 @@ class TestRealTree:
 
 class TestDoctoredTree:
     def test_undocumented_option_fails(self, tmp_path):
-        docs = _doctored_docs(tmp_path, "solver-options.md", "decomposition")
+        docs = _doctored_docs(tmp_path, "solver-options.md", "fallback")
         findings = check_docs(docs)
-        assert any("`decomposition`" in f for f in findings)
+        assert any("`fallback`" in f for f in findings)
         assert main(["--docs-dir", str(docs)]) == 1
 
     def test_undocumented_counter_fails(self, tmp_path):
         docs = _doctored_docs(tmp_path, "instrumentation.md", "colgen_rounds")
         findings = check_docs(docs)
         assert any("`colgen_rounds`" in f for f in findings)
+
+    @pytest.mark.parametrize(
+        "file_name, after, row, kind",
+        [
+            ("solver-options.md", "| `fallback` |", "| `warp_drive` | on | all | Gone. |", "option"),
+            ("instrumentation.md", "| `pivots` |", "| `warp_jumps` | PR 2 | Gone. |", "counter"),
+            (
+                "solver-options.md",
+                "| `REPRO_FORCE_DENSE_LU` |",
+                "| `REPRO_WARP_DRIVE` | Gone. |",
+                "env variable",
+            ),
+        ],
+        ids=["option", "counter", "env"],
+    )
+    def test_stale_table_row_fails(self, tmp_path, file_name, after, row, kind):
+        # A first-column name the code does not have is a stale row.
+        docs = tmp_path / "docs"
+        shutil.copytree(DOCS_DIR, docs)
+        target = docs / file_name
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(after))
+        lines.insert(at + 1, row + "\n")
+        target.write_text("".join(lines), encoding="utf-8")
+        name = row.split("`")[1]
+        assert check_docs(docs) == [
+            f"{target}: `{name}` is documented but is no {kind} in the code"
+        ]
+        assert main(["--docs-dir", str(docs)]) == 1
 
     def test_missing_doc_file_fails(self, tmp_path):
         docs = tmp_path / "docs"

@@ -4,9 +4,8 @@ The load-bearing assertion throughout is *exactness*: a decomposed solve
 must return the same status and (at tolerance) the same objective as the
 monolithic solve of the identical form -- on random LPs, random MILPs, the
 LP2 placement lowering, and under injected pricing faults.  Warm-basis
-survival across column appends and the option plumbing
-(``decomposition=``, ``REPRO_DECOMPOSITION``, hints) are covered
-alongside.
+survival across column appends, the column-count threshold that sends a
+form to column generation, and hints are covered alongside.
 """
 
 from __future__ import annotations
@@ -46,37 +45,33 @@ def _clean_counters():
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def force_colgen(monkeypatch):
+    """Send every in-house solve, however small, through column generation."""
+    monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", 0)
+
+
 class TestDecompositionOption:
-    def test_validate_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="decomposition"):
-            colgen.validate_decomposition("sifting")
+    """Which forms go to column generation: the size threshold, no option."""
 
-    def test_validate_passes_known_modes(self):
-        for mode in colgen.DECOMPOSITION_MODES:
-            assert colgen.validate_decomposition(mode) == mode
-
-    def test_explicit_value_wins(self):
-        assert colgen.resolve_decomposition("colgen", 2) == "colgen"
-        assert colgen.resolve_decomposition("off", 10**6) == "off"
-
-    def test_auto_threshold(self):
-        assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS) == "colgen"
-        assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS - 1) == "off"
-
-    def test_env_override_steers_auto_only(self, monkeypatch):
-        monkeypatch.setattr(colgen, "_DECOMP_ENV", "colgen")
-        assert colgen.resolve_decomposition("auto", 2) == "colgen"
-        assert colgen.resolve_decomposition("off", 10**6) == "off"
-        monkeypatch.setattr(colgen, "_DECOMP_ENV", "off")
-        assert colgen.resolve_decomposition("auto", 10**6) == "off"
+    def test_auto_threshold(self, monkeypatch):
+        # The column count alone decides: at the threshold column generation
+        # runs, one column short of it the form is solved monolithically.
+        n_cols = _lp_model().to_standard_form().num_vars
+        for threshold, decomposed in ((n_cols, True), (n_cols + 1, False)):
+            monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", threshold)
+            instr.reset()
+            sol = _lp_model().solve(backend="simplex", presolve="off")
+            assert sol.objective == pytest.approx(7.0, abs=TOL)
+            assert (instr.snapshot()["colgen_rounds"] > 0) is decomposed
 
     def test_backend_rejects_bad_decomposition(self):
         m = _lp_model()
-        with pytest.raises(ValueError, match="decomposition"):
-            m.solve(backend="simplex", decomposition="bogus")
+        with pytest.raises(SolverError, match="does not recognize option.*decomposition"):
+            m.solve(backend="simplex", decomposition="colgen")
 
-    def test_model_solve_with_explicit_colgen(self):
-        sol = _lp_model().solve(backend="simplex", decomposition="colgen")
+    def test_model_solve_with_explicit_colgen(self, force_colgen):
+        sol = _lp_model().solve(backend="simplex")
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(7.0, abs=TOL)
         assert instr.snapshot()["colgen_rounds"] >= 1
@@ -263,14 +258,14 @@ class TestHintsAndWarmBases:
         assert snap["master_resolves"] >= 2, "expected a multi-round run"
         assert engine._token is not None, "warm basis token was not retained"
 
-    def test_session_resolve_reuses_colgen_state(self):
+    def test_session_resolve_reuses_colgen_state(self, force_colgen):
         m = Model("colgen-session")
         x = m.add_var("x")
         y = m.add_var("y")
         m.add_constr(x + y >= 3, "cover")
         m.add_constr(2 * x + y >= 4, "capacity")
         m.set_objective(3 * x + 2 * y)
-        session = m.session(backend="simplex", decomposition="colgen")
+        session = m.session(backend="simplex")
         first = session.solve()
         assert first.status is SolveStatus.OPTIMAL
         assert first.objective == pytest.approx(7.0, abs=TOL)
@@ -309,11 +304,11 @@ class TestCorruptPricingRecovery:
                 colgen.solve_form_colgen(form, is_mip=False, options={})
         assert armed.fired["pricing"] == 2
 
-    def test_session_fallback_rescues_poisoned_pricing(self):
+    def test_session_fallback_rescues_poisoned_pricing(self, force_colgen):
         m = _lp_model()
         plan = FaultPlan(corrupt_pricing=(1, 2))
         with faultinject.inject(plan):
-            sol = m.solve(backend="simplex", decomposition="colgen", fallback="auto")
+            sol = m.solve(backend="simplex", fallback="auto")
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(7.0, abs=TOL)
         assert sol.degradation is not None

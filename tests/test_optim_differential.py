@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.optim import Model, SolveStatus, SolverSession, lin_sum
-from repro.optim import scipy_backend
+from repro.optim import scipy_backend, simplex
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.simplex import solve_standard_form
 
@@ -93,13 +93,21 @@ def _assert_matches(ours, reference, label: str) -> None:
         )
 
 
+def _force_devex(monkeypatch) -> None:
+    """Price every LP with devex: fuzz sizes sit below the devex threshold."""
+    monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
+
+
 class TestLPDifferential:
-    # "auto" resolves to Dantzig at fuzz sizes; the explicit "devex" leg
-    # forces the reference-framework pricer + partial pricing through the
-    # exact same instance stream, so a devex-specific pricing or dual-update
-    # bug cannot hide behind the auto threshold.
+    # "auto" leaves the devex threshold alone, which prices fuzz-sized LPs
+    # with Dantzig; the "devex" leg moves the threshold to force the
+    # reference-framework pricer + partial pricing through the exact same
+    # instance stream, so a devex-specific pricing or dual-update bug cannot
+    # hide behind the size threshold.
     @pytest.mark.parametrize("pricing", ["auto", "devex"])
-    def test_simplex_matches_highs_on_random_lps(self, pricing):
+    def test_simplex_matches_highs_on_random_lps(self, pricing, monkeypatch):
+        if pricing == "devex":
+            _force_devex(monkeypatch)
         rng = np.random.default_rng(20260729)
         statuses = {status: 0 for status in SolveStatus}
         checked = 0
@@ -116,7 +124,7 @@ class TestLPDifferential:
                 SolveStatus.UNBOUNDED,
             ):
                 continue  # numerical-trouble statuses have no defined mirror
-            ours = solve_standard_form(form, pricing=pricing)
+            ours = solve_standard_form(form)
             _assert_matches(ours, reference, f"LP #{checked} pricing={pricing}")
             statuses[reference.status] += 1
             checked += 1
@@ -127,7 +135,7 @@ class TestLPDifferential:
 
 
 class TestMILPDifferential:
-    def _run(self, n_instances: int, seed: int, pricing: str = "auto") -> None:
+    def _run(self, n_instances: int, seed: int) -> None:
         rng = np.random.default_rng(seed)
         statuses = {status: 0 for status in SolveStatus}
         for index in range(n_instances):
@@ -136,26 +144,23 @@ class TestMILPDifferential:
             reference = scipy_backend.solve_mip(form)
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue
-            ours = solve_milp(form, pricing=pricing)
-            _assert_matches(ours, reference, f"MILP #{index} pricing={pricing}")
+            ours = solve_milp(form)
+            _assert_matches(ours, reference, f"MILP #{index}")
             statuses[reference.status] += 1
         assert statuses[SolveStatus.OPTIMAL] >= n_instances // 4
         assert statuses[SolveStatus.INFEASIBLE] >= 5
 
-    def test_branch_and_bound_with_inhouse_nodes_matches_highs(self, monkeypatch):
-        # Force the simplex node solver (with per-node warm starts): this is
-        # the configuration the vectorization refactor must not regress.
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    def test_branch_and_bound_with_inhouse_nodes_matches_highs(self):
+        # In-house node LPs with per-node warm starts, Dantzig-priced at
+        # fuzz sizes: the configuration the vectorization refactor must not
+        # regress.
         self._run(N_MILP_INSTANCES, seed=477)
 
     def test_branch_and_bound_with_devex_nodes_matches_highs(self, monkeypatch):
         # Same stream under devex node pricing: cold root solves, warm
         # re-solves and the devex dual-repair weighting all against HiGHS.
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
-        self._run(N_MILP_INSTANCES, seed=477, pricing="devex")
-
-    def test_branch_and_bound_with_scipy_nodes_matches_highs(self):
-        self._run(80, seed=478)
+        _force_devex(monkeypatch)
+        self._run(N_MILP_INSTANCES, seed=477)
 
 
 class TestPresolveCutsDifferential:
@@ -197,17 +202,14 @@ class TestPresolveCutsDifferential:
             checked += 1
         assert checked >= 40
 
-    def test_presolve_and_cuts_agree_on_random_milps(self, monkeypatch):
+    def test_presolve_and_cuts_agree_on_random_milps(self):
         from repro.optim import solve_model
 
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
         rng = np.random.default_rng(6061)
         checked = 0
         for _ in range(60):
             model = _random_model(rng, mip=True)
             form = model.to_standard_form()
-            # solve_mip talks to scipy directly; the is_available monkeypatch
-            # only steers the branch-and-bound node solver in-house.
             reference = scipy_backend.solve_mip(form)
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue

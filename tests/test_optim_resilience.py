@@ -24,7 +24,7 @@ from repro.optim import (
     lin_sum,
     solve_model,
 )
-from repro.optim import diagnostics, faultinject
+from repro.optim import diagnostics, faultinject, simplex
 from repro.optim import instrumentation as instr
 from repro.optim import scipy_backend
 from repro.optim.branch_and_bound import solve_milp
@@ -194,10 +194,6 @@ class TestRecoveryLadder:
         the ladder to a clean factorization -- ending at the unfaulted
         optimum.
         """
-        from repro.optim import simplex
-
-        if simplex._FORCE_DENSE_ETA:
-            pytest.skip("dense-eta mode records no FT spikes to corrupt")
         with faultinject.inject(FaultPlan(corrupt_spikes=(1,))) as armed:
             sol = solve_standard_form(_lp_form())
         assert sol.status is SolveStatus.OPTIMAL
@@ -279,6 +275,19 @@ class TestRecoveryLadder:
                 faulted = solve_standard_form(form)
             assert faulted.status is SolveStatus.OPTIMAL
             assert faulted.objective == pytest.approx(clean.objective)
+
+
+class TestRecoveryLadderUnderDevex(TestRecoveryLadder):
+    """The same ladder with devex pricing forced on every LP.
+
+    The fixture LPs sit below the devex column threshold, so the inherited
+    tests run Dantzig; moving the threshold runs them again on the devex
+    pricer, its incremental dual updates and its dual-repair row weights.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _force_devex(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
 
 
 class TestDeadlinePropagation:
@@ -368,6 +377,27 @@ class TestBackendFailover:
         assert sol.degradation is not None
         assert sol.degradation.rungs == ("scipy->branch-and-bound",)
         assert sol.degradation.guarantee == "optimal"
+
+    @pytest.mark.skipif(
+        not scipy_backend.is_available(), reason="primary backend is scipy"
+    )
+    def test_mip_failover_to_branch_and_bound_never_calls_highs(self, monkeypatch):
+        # After the scipy hop fails, every node LP of the branch and bound
+        # must run in-house: HiGHS is the backend that just went down.
+        calls = []
+        solve_lp = scipy_backend.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy_backend, "solve_lp", counted)
+        with faultinject.inject(FaultPlan(fail_backends=("scipy",))):
+            sol = solve_model(_mip_model(), backend="scipy", fallback="auto")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == ("scipy->branch-and-bound",)
+        assert calls == []
 
     def test_all_backends_down_degrades_to_greedy(self):
         plan = FaultPlan(fail_backends=("simplex", "scipy", "branch-and-bound"))

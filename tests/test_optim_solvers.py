@@ -18,7 +18,8 @@ from repro.optim import (
     lin_sum,
     solve_model,
 )
-from repro.optim import faultinject
+from repro.optim import faultinject, simplex
+from repro.optim import instrumentation as instr
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError, SolverError, UnboundedError
 from repro.optim.simplex import solve_standard_form
@@ -239,19 +240,25 @@ class TestOptionPlumbing:
 
     @pytest.mark.parametrize("bad", ["steepest", "", "Devex", 7, None])
     def test_pricing_option_validated(self, bad):
-        # Mirrors the time_limit style: a malformed value is a loud
-        # ValueError before any solve work starts.
-        with pytest.raises((ValueError, TypeError), match="pricing"):
+        # The pricing rule depends on the instance only: ``pricing`` is an
+        # unknown option name whatever its value, rejected before any work.
+        with pytest.raises(SolverError, match="does not recognize option.*pricing"):
             solve_model(_lp_example(), backend="simplex", pricing=bad)
 
     @pytest.mark.parametrize("backend", ["simplex", "branch-and-bound"])
     @pytest.mark.parametrize("pricing", ["auto", "dantzig", "devex"])
-    def test_pricing_modes_reach_the_same_optimum(self, backend, pricing):
+    def test_pricing_modes_reach_the_same_optimum(self, backend, pricing, monkeypatch):
+        # A rule is forced by moving the devex column threshold; "auto"
+        # leaves it alone (Dantzig at this size).
+        if pricing != "auto":
+            monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0 if pricing == "devex" else 10**9)
         model = _mip_example() if backend == "branch-and-bound" else _lp_example()
         expected = 15.0 if backend == "branch-and-bound" else 12.0
-        sol = solve_model(model, backend=backend, pricing=pricing)
+        instr.reset()
+        sol = solve_model(model, backend=backend, presolve="off")
         assert sol.is_optimal
         assert sol.objective == pytest.approx(expected, abs=1e-6)
+        assert (instr.get("pricing_passes") > 0) is (pricing == "devex")
 
     def test_large_mip_gap_returns_incumbent_within_gap(self):
         m = _mip_example()
@@ -259,18 +266,17 @@ class TestOptionPlumbing:
         assert sol.objective is not None
         assert sol.objective >= 15.0 * (1 - 0.5) - 1e-9
 
-    def test_max_iter_reaches_branch_and_bound_node_lps(self, monkeypatch):
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    def test_max_iter_reaches_branch_and_bound_node_lps(self):
         m = _mip_example()
         with pytest.raises(SolverError, match="did not converge"):
             solve_model(m, backend="branch-and-bound", max_iter=1)
 
     def test_node_lp_iteration_limit_raises_not_infeasible(self):
-        # With scipy node LPs, an iteration-limited node must abort loudly
-        # instead of being silently fathomed (which reported a feasible MILP
-        # as INFEASIBLE).
+        # An iteration-limited node LP must abort loudly instead of being
+        # silently fathomed (which reported a feasible MILP as INFEASIBLE),
+        # with SciPy installed or not.
         m = _mip_example()
-        with pytest.raises(SolverError, match="node LP"):
+        with pytest.raises(SolverError, match="did not converge within 1 iterations"):
             solve_model(m, backend="branch-and-bound", max_iter=1)
 
     def test_time_limit_accepted_by_branch_and_bound(self):
@@ -293,6 +299,8 @@ def _fractional_root_mip():
 class TestMilpStatusEdges:
     """Regression tests for the unbounded-root and max_nodes edge fixes."""
 
+    # ``inhouse_nodes=True`` masks SciPy: branch and bound must answer the
+    # same whether or not it is installed.
     @pytest.mark.parametrize("inhouse_nodes", [False, True])
     def test_unbounded_relaxation_infeasible_milp(self, monkeypatch, inhouse_nodes):
         # LP relaxation is unbounded (min -x, x >= 0 free above) but the MILP

@@ -7,21 +7,18 @@ Three layers are covered:
 * property-style equivalence of the sparse and dense lowerings of randomized
   models (``to_standard_form(sparse=True)`` vs ``sparse=False`` must produce
   the same ``A`` / ``b`` / ``c`` / bounds / integrality / row map);
-* the revised simplex's factorized basis: eta-file solves against explicit
-  dense references, refactorization after long eta chains, and the
+* the revised simplex's factorized basis: spike-file solves against
+  explicit dense references, refactorization after long update chains, and the
   one-canonicalization-per-MILP-solve contract of branch and bound.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.optim import Model, lin_sum
 from repro.optim import instrumentation as instr
-from repro.optim import simplex as simplex_mod
 from repro.optim.simplex import (
     SimplexSolver,
     _REFACTOR_INTERVAL,
@@ -258,7 +255,7 @@ class TestBasisFactor:
         model.set_objective(lin_sum(xs))
         return _canonicalize(model.to_standard_form())
 
-    def test_eta_updates_track_explicit_basis_replacements(self):
+    def test_spike_updates_track_explicit_basis_replacements(self):
         rng = np.random.default_rng(3)
         lp = self._canonical_fixture(rng)
         m = lp.m
@@ -295,18 +292,15 @@ class TestBasisFactor:
         rhs = rng.standard_normal(m)
         np.testing.assert_allclose(fresh.ftran(rhs.copy()), factor.ftran(rhs.copy()), atol=1e-6)
 
-    @pytest.mark.parametrize("force_dense", [False, True], ids=["ft-spikes", "dense-etas"])
-    def test_clone_is_copy_on_write(self, force_dense):
-        """A child's updates must never leak into the parent, in either
-        update representation: the parent's update file stays empty and its
-        solves stay bitwise-identical to before the clone pivoted."""
+    def test_clone_is_copy_on_write(self):
+        """A child's updates must never leak into the parent: the parent's
+        update file stays empty and its solves stay bitwise-identical to
+        before the clone pivoted."""
         rng = np.random.default_rng(5)
         lp = self._canonical_fixture(rng)
         m = lp.m
         basis = np.arange(m, dtype=np.int64)
-        with mock.patch.object(simplex_mod, "_FORCE_DENSE_ETA", force_dense):
-            factor = _BasisFactor(lp, basis, np.ones(m))
-        assert factor._dense_etas is force_dense
+        factor = _BasisFactor(lp, basis, np.ones(m))
         rhs = rng.standard_normal(m)
         before_ftran = factor.ftran(rhs.copy())
         before_btran = factor.btran(rhs.copy())
@@ -319,45 +313,6 @@ class TestBasisFactor:
         assert factor.n_etas == 0  # the original's update file is untouched
         np.testing.assert_array_equal(factor.ftran(rhs.copy()), before_ftran)
         np.testing.assert_array_equal(factor.btran(rhs.copy()), before_btran)
-
-    def test_ft_spikes_match_dense_etas(self):
-        """Property: over one shared pivot sequence, the Forrest-Tomlin
-        spike file and the reference dense-eta file are the same operator
-        (FTRAN and BTRAN agree to 1e-9 on random right-hand sides)."""
-        rng = np.random.default_rng(9)
-        lp = self._canonical_fixture(rng)
-        m = lp.m
-        basis = np.arange(m, dtype=np.int64)
-        with mock.patch.object(simplex_mod, "_FORCE_DENSE_ETA", True):
-            dense = _BasisFactor(lp, basis, np.ones(m))
-        # Pin the FT side explicitly so the property holds even when the
-        # whole test run is under the REPRO_FORCE_DENSE_ETA CI leg.
-        with mock.patch.object(simplex_mod, "_FORCE_DENSE_ETA", False):
-            ft = _BasisFactor(lp, basis, np.ones(m))
-        assert dense._dense_etas and not ft._dense_etas
-        updates = 0
-        attempts = 0
-        while updates < 30 and attempts < 300:
-            attempts += 1
-            q = int(rng.integers(0, lp.n))
-            if q in basis:
-                continue
-            col = lp.A.gather_col(q, np.zeros(m))
-            w_ft = ft.ftran(col.copy())
-            w_dense = dense.ftran(col.copy())
-            np.testing.assert_allclose(w_ft, w_dense, atol=1e-9)
-            r = int(np.argmax(np.abs(w_ft)))
-            if abs(w_ft[r]) < 1e-6:
-                continue
-            ft.update(r, w_ft)
-            dense.update(r, w_dense)
-            basis[r] = q
-            updates += 1
-            rhs = rng.standard_normal(m)
-            np.testing.assert_allclose(ft.ftran(rhs.copy()), dense.ftran(rhs.copy()), atol=1e-9)
-            np.testing.assert_allclose(ft.btran(rhs.copy()), dense.btran(rhs.copy()), atol=1e-9)
-        assert updates == 30
-        assert ft._spike_nnz > 0  # spikes, not etas, carried the FT side
 
     def test_warm_chain_triggers_refactorization_and_stays_exact(self):
         """A long warm-started re-solve chain must refactorize and keep
@@ -384,18 +339,16 @@ class TestBasisFactor:
             assert warm.status is cold.status, f"step {step}"
             if cold.objective is not None:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-6), f"step {step}"
-        assert instr.get("eta_updates") > _REFACTOR_INTERVAL
+        assert instr.get("ft_updates") > _REFACTOR_INTERVAL
         assert instr.get("refactorizations") >= 1
 
 
 class TestCanonicalizationContract:
-    def test_branch_and_bound_canonicalizes_once(self, monkeypatch):
+    def test_branch_and_bound_canonicalizes_once(self):
         """The whole B&B tree shares one canonicalization; per-node work is
-        bound patches and basis updates (the PR's acceptance contract)."""
-        from repro.optim import scipy_backend
+        bound patches and basis updates."""
         from repro.optim.branch_and_bound import solve_milp
 
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
         rng = np.random.default_rng(3)
         model = Model("cover", sense="min")
         xs = [model.add_var(f"z{i}", vartype="binary") for i in range(12)]
