@@ -140,9 +140,7 @@ def test_gate_internet_scale_colgen(benchmark, _bench_records, internet_scale_pr
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(_EXPECTED_OBJECTIVE, abs=1e-5)
     if scipy_backend.is_available():
-        from repro.optim.backend import _solve_form
-
-        reference = _solve_form(colgen_session._session.form, False, "scipy", {})
+        reference = scipy_backend.solve_lp(colgen_session._session.form)
         assert reference.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(reference.objective, abs=1e-5)
 

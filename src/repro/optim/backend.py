@@ -44,27 +44,31 @@ option: the simplex prices with devex at or above
 :data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns (Dantzig
 below), and both in-house backends solve a lowered form by the
 restricted-master column generation of :mod:`repro.optim.colgen` once it
-has :data:`repro.optim.colgen._COLGEN_MIN_COLS` columns.  On a
-:class:`SolverSession` the column-generation path skips presolve on purpose
-(presolve reindexes columns, which would invalidate
-:class:`repro.optim.colgen.ColGenHints` indices and in-place patches) and
-keeps the active column set plus warm basis across re-solves.
+has :data:`repro.optim.colgen._COLGEN_MIN_COLS` columns.
 
+Every solve parses its options once, in :func:`_parse_options`: names are
+checked against :data:`BACKEND_OPTIONS`, values are validated, and
 ``time_limit`` (seconds, positive and finite -- anything else raises
-``ValueError`` at option-checking time) is turned into a single
-:class:`repro.optim.resilience.Deadline` here in the dispatcher and threaded
-through presolve, cut separation and the backend's own iteration loops, so
-every layer agrees on when the budget expires.  A solve that runs out of
-budget returns the best incumbent found so far with the honest status
-``TIME_LIMIT`` (never conflated with ``NODE_LIMIT``).
+``ValueError``) becomes the solve's single
+:class:`repro.optim.resilience.Deadline`, threaded through presolve, cut
+separation and the backend's own iteration loops, so every layer agrees on
+when the budget expires.  A solve that runs out of budget returns the best
+incumbent found so far with the honest status ``TIME_LIMIT`` (never
+conflated with ``NODE_LIMIT``).  :func:`solve_model` and
+:meth:`SolverSession.solve` share that parse and one failover driver.
 
 ``fallback`` (``"off"`` by default, ``"auto"`` to enable) arms backend
-failover: when the resolved backend raises :class:`SolverError` or returns
-an ``ERROR`` status, the dispatcher retries the same lowered form on the
-other solver family (``scipy`` <-> in-house), and as a last resort degrades
-to :func:`repro.optim.resilience.greedy_form_solve`.  A failed-over solution
-carries a :class:`repro.optim.solution.Degradation` record naming each hop,
-the weakened guarantee, and the error messages that forced it.
+failover.  :func:`_failover_chain` lists the hops: the primary (``colgen``
+when an in-house backend decomposes the form), then the same in-house
+backend run monolithically (only after a ``colgen`` primary), then the
+other solver family (``scipy`` <-> in-house), and last
+:func:`repro.optim.resilience.greedy_form_solve`.  A hop is left when it
+raises :class:`SolverError` or returns an ``ERROR`` status; every hop gets
+the same solver options.  A failed-over solution carries a
+:class:`repro.optim.solution.Degradation` record naming each hop
+(``"colgen->simplex"``, ``"simplex->scipy"``, ...), the weakened guarantee,
+and the error messages that forced it.  With ``fallback="off"`` the first
+failure propagates.
 
 ``presolve`` (``"on"`` by default, ``"off"`` to disable) runs
 :func:`repro.optim.presolve.presolve` over the lowered form before any
@@ -89,17 +93,34 @@ Warm starts and re-solves
 :class:`SolverSession` lowers a model to its :class:`StandardForm` once and
 then supports in-place parameter updates (constraint coefficients,
 right-hand sides, objective coefficients, variable bounds) followed by
-re-solves.  On the in-house backends the session also threads the previous
-optimal basis into the next solve (see
-:class:`repro.optim.simplex.SimplexSolver`), so a re-solve after a small
-data change typically skips simplex phase 1.  The SciPy backend has no warm
-start; sessions still avoid the model re-lowering cost there.
+re-solves.  Two session paths keep warm state and skip presolve, which
+would reindex columns and drop the explicit zeros that in-place patches
+address: an LP on the ``simplex`` backend threads the previous optimal
+basis into the next solve (see :class:`repro.optim.simplex.SimplexSolver`),
+so a re-solve after a small data change typically skips simplex phase 1,
+and a form wide enough for column generation keeps one
+:class:`repro.optim.colgen.ColumnGeneration` driver (active columns, warm
+master basis, :class:`repro.optim.colgen.ColGenHints` indices).  Either
+state is the first hop of the shared failover chain; the later hops run on
+the session's patched form.  Branch-and-bound and SciPy sessions presolve
+on every solve; they avoid only the model re-lowering cost.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -173,96 +194,94 @@ def _resolve_backend(backend: str, is_mip: bool) -> str:
     return "branch-and-bound" if is_mip else "simplex"
 
 
-def _check_options(backend: str, options: Dict[str, Any]) -> None:
-    """Reject option names the resolved backend does not honor.
+#: Options the dispatcher consumes itself; the rest are solver options,
+#: handed unchanged to every hop of the failover chain.
+_DISPATCH_OPTIONS = frozenset({"check", "presolve", "fallback", "time_limit"})
 
-    ``time_limit`` values are validated here as well -- a zero, negative or
-    non-finite budget is always a caller bug, and catching it before any
-    solver starts beats a deadline that is born expired (or never expires).
+
+class _Run(NamedTuple):
+    """One solve's parsed options (built by :func:`_parse_options`)."""
+
+    check: str
+    presolve: bool
+    fallback: bool
+    deadline: Optional[Deadline]
+    #: ``max_iter``, ``mip_gap``, ``max_nodes``, ``cuts``, ``max_cut_rounds``
+    #: as given; absent ones take :func:`repro.optim.branch_and_bound.solve_milp`'s
+    #: and the simplex's defaults.
+    solver: Dict[str, Any]
+
+
+def _choice(name: str, value: Any, allowed: Tuple[str, ...]) -> str:
+    """Validate the mode option ``name``."""
+    if value not in allowed:
+        raise SolverError(f"{name} option must be one of {allowed}, got {value!r}")
+    return str(value)
+
+
+def _parse_options(backend: str, options: Dict[str, Any]) -> _Run:
+    """Validate ``options`` for ``backend`` once and start the solve's clock.
+
+    Unknown names and bad mode values raise :class:`SolverError`; a zero,
+    negative or non-finite ``time_limit`` raises ``ValueError`` -- always a
+    caller bug, and catching it before any solver starts beats a deadline
+    that is born expired (or never expires).  Every check happens here, so
+    a bad option can never be mistaken for a solver failure and trigger
+    ``fallback="auto"``.
     """
-    unknown = set(options) - BACKEND_OPTIONS[backend]
+    unknown = options.keys() - BACKEND_OPTIONS[backend]
     if unknown:
         raise SolverError(
             f"backend {backend!r} does not recognize option(s) {sorted(unknown)}; "
             f"it honors {sorted(BACKEND_OPTIONS[backend])}"
         )
+    deadline: Optional[Deadline] = None
     time_limit = options.get("time_limit")
     if time_limit is not None:
         try:
-            value = float(time_limit)
+            limit = float(time_limit)
         except (TypeError, ValueError):
-            raise ValueError(
-                f"time_limit must be a positive finite number of seconds, "
-                f"got {time_limit!r}"
-            ) from None
-        if not math.isfinite(value) or value <= 0.0:
+            limit = math.nan
+        if not math.isfinite(limit) or limit <= 0.0:
             raise ValueError(
                 f"time_limit must be a positive finite number of seconds, "
                 f"got {time_limit!r}"
             )
+        deadline = Deadline(limit)
+    if "cuts" in options:
+        _choice("cuts", options["cuts"], ("auto", "off"))
+    rounds = options.get("max_cut_rounds")
+    if "max_cut_rounds" in options and (not isinstance(rounds, int) or rounds < 0):
+        raise SolverError(f"max_cut_rounds must be a non-negative integer, got {rounds!r}")
+    check = _choice("check", options.get("check", "off"), analysis.CHECK_MODES)
+    presolve = _choice("presolve", options.get("presolve", "on"), ("on", "off"))
+    fallback = _choice("fallback", options.get("fallback", "off"), ("off", "auto"))
+    return _Run(
+        check=check,
+        presolve=presolve == "on",
+        fallback=fallback == "auto",
+        deadline=deadline,
+        solver={k: v for k, v in options.items() if k not in _DISPATCH_OPTIONS},
+    )
 
 
-def _pop_check_mode(options: Dict[str, Any]) -> str:
-    """Extract and validate the dispatcher-level ``check`` option."""
-    mode = options.pop("check", "off")
-    if mode not in analysis.CHECK_MODES:
-        raise SolverError(
-            f"check option must be one of {analysis.CHECK_MODES}, got {mode!r}"
-        )
-    return str(mode)
-
-
-def _pop_presolve_mode(options: Dict[str, Any]) -> str:
-    """Extract and validate the dispatcher-level ``presolve`` option."""
-    mode = options.pop("presolve", "on")
-    if mode not in ("on", "off"):
-        raise SolverError(f"presolve option must be 'on' or 'off', got {mode!r}")
-    return str(mode)
-
-
-def _pop_fallback_mode(options: Dict[str, Any]) -> str:
-    """Extract and validate the dispatcher-level ``fallback`` option."""
-    mode = options.pop("fallback", "off")
-    if mode not in ("off", "auto"):
-        raise SolverError(f"fallback option must be 'off' or 'auto', got {mode!r}")
-    return str(mode)
-
-
-def _solve_form(
-    form: StandardForm,
-    is_mip: bool,
-    backend: str,
-    options: Dict[str, Any],
-    allow_colgen: bool = True,
-) -> Solution:
-    """Presolve an already-lowered ``StandardForm``, dispatch, postsolve.
+def _solve_form(form: StandardForm, is_mip: bool, backend: str, run: _Run) -> Solution:
+    """Presolve an already-lowered ``StandardForm``, run the chain, postsolve.
 
     Presolve is applied here -- below :func:`solve_model` and the
-    :class:`SolverSession` cold path, above every backend -- so the reduced
-    form is what any backend actually solves and the caller transparently
-    receives original-space values.  The :class:`SolverSession` warm-simplex
-    path bypasses this function on purpose: presolve rebuilds the sparse
-    matrices (dropping explicit zeros), which would invalidate the session's
-    in-place coefficient patches and warm-start bases.  ``allow_colgen=False``
-    keeps a wide form on the monolithic in-house path (the session's retry
-    after a failed column-generation run).
+    :class:`SolverSession` paths without warm state, above every backend --
+    so the reduced form is what every hop actually solves and the caller
+    transparently receives original-space values.
     """
-    options = dict(options)
-    presolve_mode = _pop_presolve_mode(options)
-    fallback_mode = _pop_fallback_mode(options)
-    time_limit = options.pop("time_limit", None)
-    deadline = Deadline(time_limit) if time_limit is not None else None
-    dispatch = _run_with_failover if fallback_mode == "auto" else _dispatch_form
-    if presolve_mode == "off" or len(form.names) != form.num_vars:
+    integral = is_mip and backend != "simplex"
+    if not run.presolve or len(form.names) != form.num_vars:
         # Forms without a full name vector cannot round-trip through the
         # value dict; solve them directly.
-        return dispatch(form, is_mip, backend, options, deadline, allow_colgen)
+        return _run_chain(form, integral, backend, run)
 
     from repro.optim.presolve import presolve as run_presolve
 
-    reduced, post = run_presolve(
-        form, integer_aware=is_mip and backend != "simplex", deadline=deadline
-    )
+    reduced, post = run_presolve(form, integer_aware=integral, deadline=run.deadline)
     if reduced.proven_infeasible:
         return Solution(status=SolveStatus.INFEASIBLE, backend="presolve")
     if reduced.num_vars == 0:
@@ -276,64 +295,67 @@ def _solve_form(
             values=values,
             backend="presolve",
         )
-    return post.restore(dispatch(reduced, is_mip, backend, options, deadline, allow_colgen))
+    return post.restore(_run_chain(reduced, integral, backend, run))
 
 
-def _dispatch_form(
-    form: StandardForm,
-    is_mip: bool,
-    backend: str,
-    options: Dict[str, Any],
-    deadline: Optional[Deadline] = None,
-    allow_colgen: bool = True,
-) -> Solution:
-    """Dispatch an already-lowered ``StandardForm`` to a concrete backend."""
-    if faultinject.ACTIVE:
-        faultinject.maybe_fail_backend(backend, SolverError)
-    if backend == "scipy":
+def _dispatch_form(form: StandardForm, is_mip: bool, hop: str, run: _Run) -> Solution:
+    """Solve ``form`` on one hop of the chain (see :func:`_failover_chain`).
+
+    ``is_mip`` says whether integrality is enforced; ``hop`` is a concrete
+    backend or ``"colgen"``, the in-house decomposition.
+    """
+    if hop == "scipy":
         from repro.optim import scipy_backend
 
         if not scipy_backend.is_available():
             raise SolverError("scipy backend requested but scipy is not importable")
-        remaining = deadline.remaining_or_none() if deadline is not None else None
+        remaining = run.deadline.remaining_or_none() if run.deadline is not None else None
         if is_mip:
             return scipy_backend.solve_mip(
-                form,
-                time_limit=remaining,
-                mip_gap=options.get("mip_gap"),
+                form, time_limit=remaining, mip_gap=run.solver.get("mip_gap")
             )
         return scipy_backend.solve_lp(
-            form,
-            max_iter=options.get("max_iter"),
-            time_limit=remaining,
+            form, max_iter=run.solver.get("max_iter"), time_limit=remaining
         )
-    from repro.optim.colgen import solve_form_colgen, use_colgen
+    if hop == "colgen":
+        from repro.optim.colgen import solve_form_colgen
 
-    is_bnb = backend == "branch-and-bound"
-    max_cut_rounds = options.get("max_cut_rounds", 5)
-    if is_bnb and (not isinstance(max_cut_rounds, int) or max_cut_rounds < 0):
-        raise SolverError(
-            f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
-        )
-    if allow_colgen and use_colgen(form.num_vars):
-        return solve_form_colgen(form, is_mip=is_bnb, options=options, deadline=deadline)
-    if not is_bnb:
-        from repro.optim.simplex import solve_standard_form
+        return solve_form_colgen(form, is_mip, run.solver, deadline=run.deadline)
+    if hop == "simplex":
+        from repro.optim.simplex import SimplexSolver
 
-        return solve_standard_form(
-            form, max_iter=options.get("max_iter", 100_000), deadline=deadline
+        solution, _ = SimplexSolver(form).solve(
+            max_iter=run.solver.get("max_iter"), deadline=run.deadline
         )
+        return solution
     from repro.optim.branch_and_bound import solve_milp
 
-    return solve_milp(
-        form,
-        max_nodes=options.get("max_nodes", 100_000),
-        mip_gap=options.get("mip_gap"),
-        max_iter=options.get("max_iter"),
-        cuts=options.get("cuts", "auto"),
-        max_cut_rounds=max_cut_rounds,
-        deadline=deadline,
-    )
+    return solve_milp(form, deadline=run.deadline, **run.solver)
+
+
+def _failover_chain(
+    backend: str, is_mip: bool, width: int, have_scipy: bool
+) -> List[Tuple[str, str]]:
+    """The ``(hop, backend)`` pairs a solve tries in order, before greedy.
+
+    The primary hop is ``colgen`` when an in-house backend decomposes a form
+    ``width`` columns wide; the same in-house backend then runs
+    monolithically, which without SciPy is the only hop left that still
+    returns a proven answer.  The other solver family comes last.  The
+    backend half of each pair is the name the fault hook checks.
+    """
+    from repro.optim.colgen import use_colgen
+
+    inhouse = backend
+    if backend == "scipy":
+        inhouse = "branch-and-bound" if is_mip else "simplex"
+    if use_colgen(width):
+        local = [("colgen", inhouse), (inhouse, inhouse)]
+    else:
+        local = [(inhouse, inhouse)]
+    if backend == "scipy":
+        return [("scipy", "scipy"), local[0]]
+    return local + [("scipy", "scipy")] if have_scipy else local
 
 
 def _guarantee_for(status: SolveStatus) -> str:
@@ -353,67 +375,58 @@ def _guarantee_for(status: SolveStatus) -> str:
     return "feasible-only"
 
 
-def _run_with_failover(
+def _run_chain(
     form: StandardForm,
     is_mip: bool,
     backend: str,
-    options: Dict[str, Any],
-    deadline: Optional[Deadline] = None,
-    allow_colgen: bool = True,
+    run: _Run,
+    first: Optional[Callable[[_Run], Solution]] = None,
 ) -> Solution:
-    """``fallback="auto"`` driver: primary backend, alternate family, greedy.
+    """Run the failover chain of :func:`_failover_chain` over ``form``.
 
-    Each hop is taken when the current backend raises :class:`SolverError`
-    or returns an ``ERROR`` status; anything else (including ``TIME_LIMIT``
-    and ``INFEASIBLE``) is a real answer and ends the chain.  Option names
-    the alternate backend does not honor are simply not read by its
-    dispatch branch, so the merged option dict can ride along unchanged.
+    ``first`` replaces the primary hop's solve (a session's warm state).
+    A hop that raises :class:`SolverError` or returns an ``ERROR`` status
+    hands over to the next one -- anything else, ``TIME_LIMIT`` and
+    ``INFEASIBLE`` included, is a real answer and ends the chain -- unless
+    ``fallback="off"``, where the first failure is the result.
     """
     from repro.optim import scipy_backend
 
-    chain = [backend]
-    if backend == "scipy":
-        chain.append("branch-and-bound" if is_mip else "simplex")
-    elif scipy_backend.is_available():
-        chain.append("scipy")
+    hops = _failover_chain(backend, is_mip, form.num_vars, scipy_backend.is_available())
     rungs: List[str] = []
     errors: List[str] = []
-    for pos, alt in enumerate(chain):
-        succ = chain[pos + 1] if pos + 1 < len(chain) else "greedy"
+    for pos, (hop, family) in enumerate(hops):
+        succ = hops[pos + 1][0] if pos + 1 < len(hops) else "greedy"
         try:
-            solution = _dispatch_form(form, is_mip, alt, options, deadline, allow_colgen)
+            if faultinject.ACTIVE:
+                faultinject.maybe_fail_backend(family, SolverError)
+            if pos == 0 and first is not None:
+                solution = first(run)
+            else:
+                solution = _dispatch_form(form, is_mip, hop, run)
         except SolverError as exc:
-            errors.append(f"{alt}: {exc}")
-            rungs.append(f"{alt}->{succ}")
-            record_rung(
-                "failover",
-                f"backend {alt!r} failed ({exc}); failing over to {succ!r}",
-            )
-            continue
-        if solution.status is SolveStatus.ERROR:
-            errors.append(f"{alt}: returned status 'error'")
-            rungs.append(f"{alt}->{succ}")
-            record_rung(
-                "failover",
-                f"backend {alt!r} returned an error status; failing over to {succ!r}",
-            )
-            continue
-        if rungs:
-            solution.degradation = Degradation(
-                rungs=tuple(rungs),
-                guarantee=_guarantee_for(solution.status),
-                errors=tuple(errors),
-            )
-        return solution
+            if not run.fallback:
+                raise
+            errors.append(f"{hop}: {exc}")
+        else:
+            if solution.status is not SolveStatus.ERROR or not run.fallback:
+                if rungs:
+                    solution.degradation = Degradation(
+                        rungs=tuple(rungs),
+                        guarantee=_guarantee_for(solution.status),
+                        errors=tuple(errors),
+                    )
+                return solution
+            errors.append(f"{hop}: returned status 'error'")
+        rungs.append(f"{hop}->{succ}")
+        record_rung("failover", f"{errors[-1]}; failing over to {succ!r}")
     record_rung(
         "greedy",
         "every real backend failed; degrading to the greedy feasibility heuristic",
     )
-    solution = greedy_form_solve(form, deadline=deadline)
+    solution = greedy_form_solve(form, deadline=run.deadline)
     solution.degradation = Degradation(
-        rungs=tuple(rungs),
-        guarantee="feasible-only",
-        errors=tuple(errors),
+        rungs=tuple(rungs), guarantee="feasible-only", errors=tuple(errors)
     )
     return solution
 
@@ -450,12 +463,10 @@ def solve_model(
         runs the pre-solve static analyzer over the lowered form.
     """
     resolved = _resolve_backend(backend, model.is_mip)
-    _check_options(resolved, options)
-    remaining = dict(options)
-    check_mode = _pop_check_mode(remaining)
+    run = _parse_options(resolved, options)
     form = model.to_standard_form()
-    analysis.enforce(form, check_mode, label=model.name)
-    solution = _solve_form(form, model.is_mip, resolved, remaining)
+    analysis.enforce(form, run.check, label=model.name)
+    solution = _solve_form(form, model.is_mip, resolved, run)
     if raise_on_infeasible:
         _raise_for_status(solution, model.name)
     return solution
@@ -489,9 +500,8 @@ class SolverSession:
         self.model = model
         self._is_mip = model.is_mip
         self.backend = _resolve_backend(backend, self._is_mip)
-        _check_options(self.backend, options)
+        self.check = _parse_options(self.backend, options).check
         self.options: Dict[str, Any] = dict(options)
-        self.check = _pop_check_mode(self.options)
         self.form = model.to_standard_form()
         self._sign = -1.0 if self.form.maximize else 1.0
         self._simplex: Optional["SimplexSolver"] = None  # lazy, for warm starts
@@ -586,111 +596,62 @@ class SolverSession:
         error-severity findings.  With ``mode="off"`` this is a no-op
         returning an empty list.
         """
-        effective = self.check if mode is None else mode
-        if effective not in analysis.CHECK_MODES:
-            raise SolverError(
-                f"check option must be one of {analysis.CHECK_MODES}, got {effective!r}"
-            )
+        effective = self.check if mode is None else _choice("check", mode, analysis.CHECK_MODES)
         return analysis.enforce(self.form, effective, label=self.model.name)
 
     # -- solving -----------------------------------------------------------
-    def _failover_after_simplex(
-        self, error: SolverError, deadline: Optional[Deadline]
-    ) -> Solution:
-        """Continue the ``fallback="auto"`` chain after a warm solve failed.
+    def _solve_colgen(self, run: _Run) -> Solution:
+        """First hop for forms of ``_COLGEN_MIN_COLS``+ columns on in-house backends.
 
-        The chain here starts *past* the in-house simplex (it already failed,
-        recovery ladder included): SciPy when importable, then the greedy
-        heuristic.  Runs on the session's patched form without mutating any
-        warm state.
-        """
-        from repro.optim import scipy_backend
-
-        rungs: List[str] = []
-        errors: List[str] = [f"simplex: {error}"]
-        succ = "scipy" if scipy_backend.is_available() else "greedy"
-        rungs.append(f"simplex->{succ}")
-        record_rung(
-            "failover",
-            f"session simplex solve failed ({error}); failing over to {succ!r}",
-        )
-        if succ == "scipy":
-            try:
-                solution = _dispatch_form(self.form, False, "scipy", {}, deadline)
-            except SolverError as exc:
-                errors.append(f"scipy: {exc}")
-            else:
-                if solution.status is not SolveStatus.ERROR:
-                    solution.degradation = Degradation(
-                        rungs=tuple(rungs),
-                        guarantee=_guarantee_for(solution.status),
-                        errors=tuple(errors),
-                    )
-                    return solution
-                errors.append("scipy: returned status 'error'")
-            rungs.append("scipy->greedy")
-            record_rung(
-                "failover", "backend 'scipy' failed; failing over to 'greedy'"
-            )
-        record_rung(
-            "greedy",
-            "every real backend failed; degrading to the greedy feasibility heuristic",
-        )
-        solution = greedy_form_solve(self.form, deadline=deadline)
-        solution.degradation = Degradation(
-            rungs=tuple(rungs), guarantee="feasible-only", errors=tuple(errors)
-        )
-        return solution
-
-    def _solve_colgen(self, merged: Dict[str, Any]) -> Solution:
-        """Session column-generation path (forms of ``_COLGEN_MIN_COLS``+ columns).
-
-        Bypasses presolve by design -- presolve reindexes columns, which
-        would break both the hint indices and the session's in-place
-        coefficient patches -- and keeps one
-        :class:`repro.optim.colgen.ColumnGeneration` driver alive so the
-        active column set and the master's warm basis survive re-solves.
-        With ``fallback="auto"`` a failed decomposition run retries
-        monolithically on the remaining time budget.
+        Keeps one :class:`repro.optim.colgen.ColumnGeneration` driver alive
+        so the active column set and the master's warm basis survive
+        re-solves.
         """
         from repro.optim.colgen import ColumnGeneration
 
-        merged = dict(merged)
-        _pop_presolve_mode(merged)
-        fallback_mode = _pop_fallback_mode(merged)
-        time_limit = merged.pop("time_limit", None)
-        deadline = Deadline(time_limit) if time_limit is not None else None
-        colgen_mip = self._is_mip and self.backend != "simplex"
+        integral = self._is_mip and self.backend != "simplex"
+        max_iter = run.solver.get("max_iter")
         if self._colgen is None:
             self._colgen = ColumnGeneration(
-                self.form,
-                hints=self._colgen_hints,
-                is_mip=colgen_mip,
-                max_iter=merged.get("max_iter"),
+                self.form, hints=self._colgen_hints, is_mip=integral, max_iter=max_iter
             )
         else:
-            self._colgen.max_iter = merged.get("max_iter")
+            self._colgen.max_iter = max_iter
         if self._coeffs_dirty:
             self._colgen.refresh_data()
         self._coeffs_dirty = False
-        try:
-            if faultinject.ACTIVE:
-                faultinject.maybe_fail_backend(self.backend, SolverError)
-            if colgen_mip:
-                return self._colgen.solve_mip(deadline=deadline, mip_options=merged)
-            return self._colgen.solve_lp(deadline=deadline)
-        except SolverError as exc:
-            if fallback_mode != "auto":
-                raise
-            record_rung(
-                "failover",
-                f"column generation failed ({exc}); retrying monolithically",
-            )
-            retry = dict(merged)
-            retry["fallback"] = "auto"
-            if deadline is not None:
-                retry["time_limit"] = deadline.remaining_or_none()
-            return _solve_form(self.form, self._is_mip, self.backend, retry, allow_colgen=False)
+        if integral:
+            return self._colgen.solve_mip(deadline=run.deadline, mip_options=run.solver)
+        return self._colgen.solve_lp(deadline=run.deadline)
+
+    def _solve_warm(self, run: _Run) -> Solution:
+        """First hop for LPs on the ``simplex`` backend: a warm-started solve.
+
+        A failed solve leaves the warm state (patched matrices, stored basis)
+        exactly as it was -- later hops run on the session's form and never
+        touch the simplex solver -- so a later solve can still warm-start.
+        """
+        from repro.optim.simplex import SimplexSolver
+
+        if self._simplex is None:
+            self._simplex = SimplexSolver(self.form)
+        if self._coeffs_dirty:
+            # Bounds, right-hand sides and objective coefficients are
+            # re-read by every solve; only matrix-coefficient patches
+            # require re-lowering the canonical arrays.
+            self._simplex.refresh()
+        self._coeffs_dirty = False
+        solution, token = self._simplex.solve(
+            warm_basis=self._basis,
+            max_iter=run.solver.get("max_iter"),
+            deadline=run.deadline,
+        )
+        if token is not None:
+            # Solves that end without a factorized optimal basis
+            # (infeasible, unbounded, deadline) keep the previous
+            # warm-start token instead of clobbering it with None.
+            self._basis = token
+        return solution
 
     def solve(self, raise_on_infeasible: bool = False, **options: Any) -> Solution:
         """Re-solve against the current (patched) matrices.
@@ -698,55 +659,18 @@ class SolverSession:
         ``options`` override the session-level defaults for this call only
         (the ``check`` mode included).
         """
-        merged = dict(self.options)
-        merged["check"] = self.check
-        merged.update(options)
-        _check_options(self.backend, merged)
-        check_mode = _pop_check_mode(merged)
-        analysis.enforce(self.form, check_mode, label=self.model.name)
+        run = _parse_options(self.backend, {**self.options, **options})
+        analysis.enforce(self.form, run.check, label=self.model.name)
 
         from repro.optim.colgen import use_colgen
 
+        integral = self._is_mip and self.backend != "simplex"
         if self.backend != "scipy" and use_colgen(self.form.num_vars):
-            solution = self._solve_colgen(merged)
+            solution = _run_chain(self.form, integral, self.backend, run, self._solve_colgen)
         elif self.backend == "simplex" and not self._is_mip:
-            from repro.optim.simplex import SimplexSolver
-
-            fallback_mode = _pop_fallback_mode(merged)
-            time_limit = merged.pop("time_limit", None)
-            deadline = Deadline(time_limit) if time_limit is not None else None
-            if self._simplex is None:
-                self._simplex = SimplexSolver(self.form)
-            if self._coeffs_dirty:
-                # Bounds, right-hand sides and objective coefficients are
-                # re-read by every solve; only matrix-coefficient patches
-                # require re-lowering the canonical arrays.
-                self._simplex.refresh()
-            self._coeffs_dirty = False
-            try:
-                if faultinject.ACTIVE:
-                    faultinject.maybe_fail_backend("simplex", SolverError)
-                solution, token = self._simplex.solve(
-                    warm_basis=self._basis,
-                    max_iter=merged.get("max_iter"),
-                    deadline=deadline,
-                )
-            except SolverError as exc:
-                if fallback_mode != "auto":
-                    raise
-                # The warm state (patched matrices, stored basis) is left
-                # exactly as it was: the failover solve runs on copies of
-                # the session's form and never touches the simplex solver,
-                # so a later solve() can still warm-start normally.
-                solution = self._failover_after_simplex(exc, deadline)
-            else:
-                if token is not None:
-                    # Solves that end without a factorized optimal basis
-                    # (infeasible, unbounded, deadline) keep the previous
-                    # warm-start token instead of clobbering it with None.
-                    self._basis = token
+            solution = _run_chain(self.form, False, self.backend, run, self._solve_warm)
         else:
-            solution = _solve_form(self.form, self._is_mip, self.backend, merged)
+            solution = _solve_form(self.form, self._is_mip, self.backend, run)
 
         self.solves += 1
         self.model.attach_solution(solution)

@@ -712,6 +712,9 @@ class ColumnGeneration:
         integral objectives, or within ``mip_gap`` or the absolute
         :data:`repro.optim.branch_and_bound.ABS_GAP_TOL`);
         otherwise the honest remaining gap is reported with ``FEASIBLE``.
+        ``mip_options`` are the dispatcher's parsed solver options, passed to
+        :func:`repro.optim.branch_and_bound.solve_milp` as keywords, so an
+        absent option takes that function's default.
         """
         from repro.optim.branch_and_bound import ABS_GAP_TOL, solve_milp
 
@@ -729,15 +732,7 @@ class ColumnGeneration:
 
         def run(form: StandardForm) -> Solution:
             """Cut-and-branch over one restricted master, options forwarded."""
-            return solve_milp(
-                form,
-                max_nodes=opts.get("max_nodes", 100_000),
-                mip_gap=opts.get("mip_gap"),
-                max_iter=opts.get("max_iter"),
-                cuts=opts.get("cuts", "auto"),
-                max_cut_rounds=opts.get("max_cut_rounds", 5),
-                deadline=deadline,
-            )
+            return solve_milp(form, deadline=deadline, **opts)
 
         mip_solution = run(master)
         if mip_solution.status is SolveStatus.INFEASIBLE and not bool(

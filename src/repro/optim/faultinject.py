@@ -83,7 +83,7 @@ class FaultPlan:
     All occurrence indices are 1-based and count events *within one*
     :func:`inject` context, so a plan composes with the instrumentation
     counters: "fail factorizations 1 and 2" drives the perturbation rung
-    first and the Bland rung second, regardless of machine or timing.
+    first and the bound-shift rung second, regardless of machine or timing.
     """
 
     #: Basis factorizations (by occurrence) that raise ``_SingularBasis``.

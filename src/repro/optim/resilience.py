@@ -2,8 +2,8 @@
 
 This module is the resilience substrate for the solver stack:
 
-* :class:`Deadline` -- a monotonic wall-clock budget created once in
-  :func:`repro.optim.backend._solve_form` and threaded through presolve,
+* :class:`Deadline` -- a monotonic wall-clock budget created once per solve
+  in :func:`repro.optim.backend._parse_options` and threaded through presolve,
   the simplex iteration loops, cut-separation rounds, strong-branching
   probes and the branch-and-bound node loop.  It is the **only** sanctioned
   ``time.monotonic()`` site in ``repro.optim`` (enforced by the SOLV005

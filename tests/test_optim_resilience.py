@@ -24,7 +24,7 @@ from repro.optim import (
     lin_sum,
     solve_model,
 )
-from repro.optim import diagnostics, faultinject, simplex
+from repro.optim import colgen, diagnostics, faultinject, simplex
 from repro.optim import instrumentation as instr
 from repro.optim import scipy_backend
 from repro.optim.branch_and_bound import solve_milp
@@ -398,6 +398,60 @@ class TestBackendFailover:
         assert sol.degradation is not None
         assert sol.degradation.rungs == ("scipy->branch-and-bound",)
         assert calls == []
+
+    @pytest.mark.parametrize("entry", ["solve_model", "session"])
+    @pytest.mark.parametrize("failure", ["simplex", "colgen"])
+    def test_entry_points_take_the_same_chain(self, entry, failure, monkeypatch):
+        # One chain for both entry points: a failed monolithic simplex goes
+        # to the other family (greedy without SciPy); a failed column
+        # generation run first retries the same backend monolithically.
+        if failure == "colgen":
+            monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", 0)
+            plan = FaultPlan(corrupt_pricing=(1, 2))
+            expected = ("colgen->simplex",)
+        else:
+            plan = FaultPlan(fail_backends=("simplex",))
+            succ = "scipy" if scipy_backend.is_available() else "greedy"
+            expected = (f"simplex->{succ}",)
+        with faultinject.inject(plan) as armed:
+            if entry == "solve_model":
+                sol = solve_model(_lp_model(), backend="simplex", fallback="auto")
+            else:
+                session = SolverSession(_lp_model(), backend="simplex", fallback="auto")
+                sol = session.solve()
+        assert sum(armed.fired.values()) >= 1
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == expected
+        rungs, errors = sol.degradation.rungs, sol.degradation.errors
+        assert len(rungs) == len(errors) == instr.get("backend_failovers")
+        if expected[-1].endswith("->greedy"):
+            assert sol.status is SolveStatus.FEASIBLE
+            assert sol.degradation.guarantee == "feasible-only"
+        else:
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(LP_OPTIMUM)
+            assert sol.degradation.guarantee == "optimal"
+
+    @pytest.mark.skipif(
+        not scipy_backend.is_available(), reason="the spied hop is scipy"
+    )
+    def test_session_failover_forwards_solver_options(self, monkeypatch):
+        seen = []
+        solve_lp = scipy_backend.solve_lp
+
+        def spy(form, **kwargs):
+            seen.append(kwargs.get("max_iter"))
+            return solve_lp(form, **kwargs)
+
+        monkeypatch.setattr(scipy_backend, "solve_lp", spy)
+        session = SolverSession(
+            _lp_model(), backend="simplex", fallback="auto", max_iter=777
+        )
+        with faultinject.inject(FaultPlan(fail_backends=("simplex",))):
+            sol = session.solve()
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == ("simplex->scipy",)
+        assert seen == [777]
 
     def test_all_backends_down_degrades_to_greedy(self):
         plan = FaultPlan(fail_backends=("simplex", "scipy", "branch-and-bound"))

@@ -13,12 +13,13 @@ import pytest
 from repro.optim import (
     FaultPlan,
     Model,
+    SolverSession,
     SolveStatus,
     available_backends,
     lin_sum,
     solve_model,
 )
-from repro.optim import faultinject, simplex
+from repro.optim import colgen, faultinject, simplex
 from repro.optim import instrumentation as instr
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError, SolverError, UnboundedError
@@ -259,6 +260,19 @@ class TestOptionPlumbing:
         assert sol.is_optimal
         assert sol.objective == pytest.approx(expected, abs=1e-6)
         assert (instr.get("pricing_passes") > 0) is (pricing == "devex")
+
+    @pytest.mark.parametrize("entry", ["solve_model", "session"])
+    @pytest.mark.parametrize("rounds", [-1, 2.5])
+    def test_max_cut_rounds_validated_on_both_entry_points(self, entry, rounds, monkeypatch):
+        # The session runs its own column-generation driver, which must see
+        # the same validated options as the one-shot dispatcher.
+        monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", 0)
+        with pytest.raises(SolverError, match="max_cut_rounds"):
+            if entry == "solve_model":
+                solve_model(_mip_example(), backend="branch-and-bound", max_cut_rounds=rounds)
+            else:
+                session = SolverSession(_mip_example(), backend="branch-and-bound")
+                session.solve(max_cut_rounds=rounds)
 
     def test_large_mip_gap_returns_incumbent_within_gap(self):
         m = _mip_example()
