@@ -166,6 +166,13 @@ def test_bench_inhouse_figure7(benchmark):
             return figure7_passive_pop10(config=ExperimentConfig(seeds=(0,)))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nin-house figure-7 sweep: {len(rows)} coverage targets")
+    print(
+        f"\nin-house figure-7 sweep: {len(rows)} coverage targets, "
+        f"{instr.get('inverse_updates')} dense-inverse updates, "
+        f"{instr.get('ft_updates')} FT updates"
+    )
     for row in rows:
         assert row["ilp_devices"] <= row["greedy_devices"] + 1e-9
+    # The node LPs' bases (m <= 210) run on the dense inverse once their
+    # first spike file fills up.
+    assert instr.get("inverse_updates") > 0

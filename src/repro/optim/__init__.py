@@ -8,9 +8,10 @@ CPLEX plays in the original article:
   expressions, constraints, objective) similar in spirit to PuLP, lowering
   to sparse CSC matrices (:mod:`repro.optim.sparse`) by default.
 * :mod:`repro.optim.simplex` -- a sparse revised simplex for linear
-  programs: the basis is kept LU-factorized and maintained with
-  Forrest-Tomlin sparse spike updates plus periodic (nnz-budgeted)
-  refactorization, with Dantzig or devex/partial pricing by size and a
+  programs: the basis is kept LU-factorized with Forrest-Tomlin sparse
+  spike updates, or -- on small bases and long pivot runs -- as a dense
+  inverse updated in place, with periodic refactorization, Dantzig or
+  devex/partial pricing by size and a
   bounded-variable dual simplex for warm starts
   (:class:`~repro.optim.simplex.SimplexSolver`).  See
   "Pricing and basis-update strategy" below.
@@ -69,12 +70,16 @@ Pricing and basis-update strategy
 The revised simplex takes one numeric path per instance; no option or
 environment variable changes it:
 
-* **Basis updates.**  Pivots are recorded as *Forrest-Tomlin sparse
-  spikes* -- the compressed nonzeros of the transformed entering column
-  plus its pivot row -- so applying the update file during FTRAN/BTRAN
-  costs O(nnz-of-spike) instead of O(m) per update.  The factor
-  refactorizes when the spike count or the stored-nonzero budget is
-  exhausted, whichever comes first.
+* **Basis updates.**  A fresh LU factor records pivots as
+  *Forrest-Tomlin sparse spikes* -- the compressed nonzeros of the
+  transformed entering column plus its pivot row -- so applying the update
+  file during FTRAN/BTRAN costs O(nnz-of-spike) instead of O(m) per
+  update; it refactorizes when the spike count or the stored-nonzero
+  budget is exhausted, whichever comes first.  On bases of at most 350
+  rows that refactorization yields an explicit dense inverse instead,
+  which each pivot updates in place (one rank-1 BLAS update), so FTRAN
+  and BTRAN become one matrix-vector product each; bases under 60 rows
+  start as one.  The kind follows the basis size and history only.
 * **Pricing.**  Below 600 canonical columns the simplex uses full
   most-negative-reduced-cost (Dantzig) pricing -- fine for paper-sized
   instances.  From 600 columns on

@@ -5,11 +5,11 @@ of :mod:`repro.optim.backend` exist to survive rare numerical and
 environmental failures -- which makes them almost impossible to exercise
 with honest inputs.  This module lets a test *script* those failures
 deterministically: fail the Nth basis factorization, inject a NaN into the
-Nth entering pivot column, poison the Nth stored Forrest-Tomlin spike (a
-*persistent* corruption that survives inside the eta file until the next
-refactorization), force the Nth warm-start dual repair to stall,
-raise from a chosen backend, or jump the deadline clock forward after the
-Nth expiry check.
+Nth entering pivot column, poison the Nth basis update (a Forrest-Tomlin
+spike, or the update vector of a dense inverse: a *persistent* corruption
+that survives inside the factor until the next refactorization), force
+the Nth warm-start dual repair to stall, raise from a chosen backend, or
+jump the deadline clock forward after the Nth expiry check.
 
 Design constraints:
 
@@ -69,7 +69,7 @@ ACTIVE = False
 #: Instrumented sites (occurrence counters are kept per site name).
 FACTORIZE = "factorize"        # _BasisFactor construction
 PIVOT_FTRAN = "pivot-ftran"    # FTRAN of an entering pivot column
-SPIKE = "spike"                # Forrest-Tomlin spike recorded by _BasisFactor.update
+SPIKE = "spike"                # basis update applied by _BasisFactor.update
 WARM_REPAIR = "warm-repair"    # warm-start dual repair attempt
 DEADLINE = "deadline"          # Deadline expiry check
 BACKEND = "backend"            # backend dispatch, keyed "backend:<name>"
@@ -90,10 +90,11 @@ class FaultPlan:
     fail_factorizations: Tuple[int, ...] = ()
     #: Entering-column FTRANs (by occurrence) that get a NaN written in.
     corrupt_pivots: Tuple[int, ...] = ()
-    #: Stored Forrest-Tomlin spikes (by occurrence) that get a NaN written
-    #: in -- unlike a corrupted pivot the damage *persists* inside the eta
-    #: file, so every later FTRAN/BTRAN through it is poisoned until the
-    #: recovery ladder refactorizes.
+    #: Basis updates (by occurrence) that get a NaN written in: the stored
+    #: Forrest-Tomlin spike, or the vector a dense inverse is updated with.
+    #: Unlike a corrupted pivot the damage *persists* inside the factor, so
+    #: every later FTRAN/BTRAN through it is poisoned until the recovery
+    #: ladder refactorizes.
     corrupt_spikes: Tuple[int, ...] = ()
     #: Warm-start dual repairs (by occurrence) forced to report a stall.
     stall_warm_repairs: Tuple[int, ...] = ()

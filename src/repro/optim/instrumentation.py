@@ -30,8 +30,9 @@ COUNTER_NAMES = (
     "degenerate_pivots",  # primal pivots with a (near-)zero objective step
     "dual_pivots",        # dual simplex (warm-start repair) pivots
     "factorizations",     # basis LU factorizations, initial ones included
-    "refactorizations",   # periodic refactorizations triggered by spike-file growth
+    "refactorizations",   # periodic refactorizations triggered by a full update budget
     "ft_updates",         # Forrest-Tomlin sparse-spike basis updates
+    "inverse_updates",    # in-place rank-1 updates of a dense basis inverse
     "spike_nnz_peak",     # peak stored nonzeros across one factor's spike file
     "pricing_passes",     # devex/partial pricing passes over candidate blocks
     "devex_resets",       # devex reference-framework weight resets

@@ -13,20 +13,33 @@ bounds are handled *implicitly* by the simplex (non-basic variables rest at
 a finite bound), so no bound rows are materialized and branch-and-bound
 node bounds are pure data changes against a shared canonical structure.
 
-Instead of a dense tableau the solver keeps only the basis factorized:
+Instead of a dense tableau the solver keeps only the basis factorized, in
+one of two kinds (:class:`_BasisFactor`):
 
-* an LU factorization of the basis matrix ``B`` (SuperLU via
-  ``scipy.sparse.linalg.splu`` for larger bases when SciPy is importable, a
-  dense LAPACK inverse otherwise),
-* a Forrest-Tomlin-style *sparse spike* file of the pivots applied since
-  the last factorization: each update stores only the nonzero entries of
-  the transformed entering column, so FTRAN/BTRAN pay O(nnz-of-spike) per
-  update instead of the O(m) of a dense product-form eta,
-* adaptive refactorization, triggered by either an update-count cap or an
-  accumulated spike-nonzero budget, which also recomputes the basic values
-  to wash out drift.
+* *LU + spike file*: an LU factorization of the basis matrix ``B``
+  (SuperLU via ``scipy.sparse.linalg.splu``) plus a Forrest-Tomlin-style
+  *sparse spike* file of the pivots applied since: each update stores only
+  the nonzero entries of the transformed entering column, so FTRAN/BTRAN
+  pay O(nnz-of-spike) per update.  Every fresh factorization of a basis of
+  at least :data:`_SPLU_MIN_DIM` rows starts here -- cold starts, warm
+  starts after a re-lowering, recovery refactorizations -- because a fresh
+  ``splu`` is several times cheaper than a dense inverse.
+* *dense inverse*: an explicit ``B^-1`` updated in place by one rank-1
+  update per pivot (the product-form inverse of Dantzig & Orchard-Hays), so
+  FTRAN and BTRAN are one matrix-vector product each.  It is built the same
+  way, by pivoting the basis columns into the diagonal of its slack and
+  artificial columns, so no BLAS call of this kind goes multi-threaded at
+  the sizes it is used for.  Small bases (below
+  :data:`_SPLU_MIN_DIM` rows, or everywhere without SciPy) start here, and
+  a periodic refactorization of a basis of at most :data:`_DENSE_MAX_DIM`
+  rows switches to it: the full update file says a long pivot run (a
+  branch-and-bound tree) is under way, where per-pivot Python overhead,
+  not flops, is the cost.
 
-Per iteration the work is two triangular solves against the factorization
+Each kind refactorizes on its own cadence (:meth:`_BasisFactor.
+needs_refactor`), which also recomputes the basic values to wash out drift.
+
+Per iteration the work is two solves against the factorization
 (FTRAN/BTRAN), one sparse pricing pass and an O(m) state update -- never
 the O(m*n) full-tableau pivot of the previous implementation.
 
@@ -71,9 +84,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,14 +125,15 @@ _STALL_ABORT = 2048
 #: unshifted path.
 _SHIFT_PROACTIVE_COLS = 600
 
-#: Spike-count cap between refactorizations is ``2m`` clamped into
-#: ``[_REFACTOR_INTERVAL, _FT_MAX_UPDATES]`` (see
-#: :meth:`_BasisFactor.needs_refactor`).  A spike costs only
-#: O(nnz-of-spike), so large bases profitably carry many updates; small
-#: bases refactorize nearly for free and stay near 16, which measured best
-#: on the pop10 placement MILPs (3.5s vs 7.0s at 64 for the 80-traffic
-#: PPME tree).
-_REFACTOR_INTERVAL = 16
+#: Refactorization cadence of the two factor kinds (see
+#: :meth:`_BasisFactor.needs_refactor`).  An LU + spike-file factor is
+#: rebuilt after :data:`_FT_MAX_UPDATES` spikes, or earlier once the spike
+#: nonzeros pass the budget below (usual on large bases); a dense inverse
+#: after :data:`_DENSE_REFACTOR` in-place updates.  Before the dense inverse
+#: existed, small bases also ran the spike file up to 48 spikes; capping it
+#: at 16 for bases under 400 rows was the measured alternative (in-house
+#: Figure-7 sweep, 2-vCPU Xeon: 30.1 / 30.0 s against 30.7 / 28.9 s at 48,
+#: seeds 0 / 1).  Periodic refactorizations of those bases now go dense.
 _FT_MAX_UPDATES = 48
 
 #: Spike-file nonzero budget: refactorize once the accumulated spike
@@ -135,18 +149,45 @@ _FT_NNZ_BASE = 128
 #: EPS-sized pivot tolerances and only inflate the spike file).
 _SPIKE_DROP_TOL = 1e-12
 
-#: Below this basis dimension a dense LAPACK factorization beats SuperLU's
-#: setup overhead even when SciPy is importable.
+#: Below this basis dimension a dense inverse beats SuperLU's setup
+#: overhead even for a fresh factorization.
 _SPLU_MIN_DIM = 60
+
+#: Largest basis dimension a periodic refactorization turns into a dense
+#: inverse updated in place.  Time per pivot, dense inverse vs spike file,
+#: with default BLAS threads (one run each, 2-vCPU Xeon): 0.75x at m = 183
+#: (pop10 PPM tree); 0.54x at 130, 0.80x at 194, 0.89x at 259, 0.75x at
+#: 323, 0.91x at 355, 0.88x at 388 and 1.06x at 420 (synthetic-Rocketfuel
+#: LP2 roots).  A one-thread sweep with a LAPACK rebuild read 1.36x at 484
+#: and 2.7x at 968.  Must stay at most 512, the size up to which OpenBLAS
+#: keeps the k = 1 ``dgemm`` update on the calling thread: with default BLAS
+#: threads (OpenBLAS 0.3.31) the update and the FTRAN/BTRAN matrix-vector
+#: products used no worker thread up to m = 540, while at m = 700 the
+#: matrix-vector products did, which brings back the between-pivot stalls
+#: the dense kind is built to avoid.
+_DENSE_MAX_DIM = 350
+
+#: A dense inverse is rebuilt from the basis columns after this many updates,
+#: washing out the drift of the product form.  A rebuild (:meth:`_BasisFactor.
+#: _pivot_in`) costs ~4 ms at m ~ 260, so the interval is set by it: the
+#: in-house Figure-7 sweep + PPME MILP + Figure-11 beacons took 20.5-21.2 s
+#: at 128, 16.9-17.8 s at 256 and 16.6-17.3 s at 512 (three alternating
+#: runs each, 2-vCPU Xeon); 256 keeps the shorter drift run.
+_DENSE_REFACTOR = 256
+
+#: Byte budget for the dense inverses alive at once.  Past it, the basis
+#: token a solve returns carries no factor, so a warm start from it
+#: refactorizes: each branch-and-bound node that pivoted owns a private
+#: inverse, and without a bound a heap of open nodes would pin one per
+#: parked parent.  The in-house Figure-7 sweep, PPME MILP and Figure-11
+#: beacons peak at ~50 MB (the full 132-traffic PPME tree alone at ~46 MB);
+#: a 16 MB budget made that sweep ~1.2x slower.
+_DENSE_LIVE_BUDGET = 64 << 20
 
 #: Deadline expiry is checked every this many simplex iterations; a check is
 #: one monotonic-clock read, so a small stride keeps overrun bounded without
 #: showing up in pivot-loop profiles.
 _DEADLINE_STRIDE = 32
-
-#: Env toggle forcing the dense-inverse factor path even when SuperLU is
-#: importable -- CI runs the fault-injection suite under both factor paths.
-_FORCE_DENSE_LU = os.environ.get("REPRO_FORCE_DENSE_LU", "") not in ("", "0")
 
 #: LPs with at least this many canonical columns are priced with devex;
 #: below it a full Dantzig sweep is one cheap vector op and the devex
@@ -165,6 +206,7 @@ _DEVEX_RESET_LIMIT = 1e7
 
 
 try:  # pragma: no cover - exercised implicitly via _BasisFactor
+    from scipy.linalg.blas import dgemm as _dgemm
     from scipy.sparse import csc_matrix as _scipy_csc
     from scipy.sparse.linalg import splu as _scipy_splu
 
@@ -239,9 +281,9 @@ class _Basis:
     basic at value zero by a redundant row; ``art_sign`` records the unit
     column sign they were created with so the basis matrix can be rebuilt.
     ``factor`` carries the factorization that was current at optimality;
-    warm starts clone it (sharing the immutable LU base, copying the eta
-    file) instead of refactorizing, so a branch-and-bound child pays zero
-    factorizations until its own eta file fills up.
+    warm starts clone it (copy-on-write, see :meth:`_BasisFactor.clone`)
+    instead of refactorizing, so a branch-and-bound child pays zero
+    factorizations until its own update budget runs out.
     """
 
     basis: np.ndarray  # column index of each basic variable, length m
@@ -383,42 +425,59 @@ class _DegenerateStall(_NumericalTrouble):
 
 
 class _BasisFactor:
-    """LU factorization of the basis plus a Forrest-Tomlin spike file.
+    """Factorization of the basis, of one of two kinds fixed at construction.
 
-    ``ftran`` solves ``B x = rhs`` and ``btran`` solves ``B^T y = rhs``;
-    both first go through the LU factors of the basis as of the last
-    (re)factorization, then through the basis updates recorded since.
+    ``ftran`` solves ``B x = rhs`` and ``btran`` solves ``B^T y = rhs``.
 
-    Updates are stored as *sparse spikes*: the pivot row, the pivot value
-    and the compressed nonzeros of the transformed entering column (the
-    permutation bookkeeping is implicit -- the pivot row index plays the
-    role of Forrest-Tomlin's row permutation, exactly as in the dense
-    product form, so applying a spike is O(nnz-of-spike) instead of O(m)).
+    * *LU + spike file* (``_splu`` set): both solves go through the SuperLU
+      factors of the basis as of the last (re)factorization, then through
+      the updates recorded since.  Updates are stored as *sparse spikes*:
+      the pivot row, the pivot value and the compressed nonzeros of the
+      transformed entering column (the permutation bookkeeping is implicit
+      -- the pivot row index plays the role of Forrest-Tomlin's row
+      permutation, exactly as in the dense product form, so applying a
+      spike is O(nnz-of-spike) instead of O(m)).
+    * *dense inverse* (``_inv`` set): an explicit ``B^-1``.  Each pivot
+      multiplies it in place by the pivot's elementary matrix -- one rank-1
+      update -- so a solve is one matrix-vector product with no per-update
+      loop; the inverse itself is built by the same kind of pivots
+      (:meth:`_pivot_in`).  ``dense=True`` asks for this kind; bases below
+      :data:`_SPLU_MIN_DIM` rows, and every basis when SciPy is missing, get
+      it regardless.
     """
+
+    #: Bytes held by dense inverses not yet freed (see :data:`_DENSE_LIVE_BUDGET`).
+    _live_bytes: ClassVar[int] = 0
 
     __slots__ = (
         "m",
         "stamp",
+        "_n_updates",
         "_spikes",
         "_spike_nnz",
         "_splu",
         "_inv",
+        "_inv_owned",
         "_base_nnz",
     )
 
-    def __init__(self, lp: _CanonicalLP, basis: np.ndarray, art_sign: np.ndarray) -> None:
+    def __init__(
+        self, lp: _CanonicalLP, basis: np.ndarray, art_sign: np.ndarray, dense: bool = False
+    ) -> None:
         if faultinject.ACTIVE:
             faultinject.maybe_fail(faultinject.FACTORIZE, _SingularBasis)
         m, n_cols = lp.m, lp.n
         self.m = m
         self.stamp = lp.stamp
+        self._n_updates = 0
         # Spike tuples (pivot row, pivot value, nonzero rows, nonzero values);
         # the arrays are never written after creation, so clones may share
         # tuples and only copy the list spine.
         self._spikes: List[Tuple[int, float, np.ndarray, np.ndarray]] = []
         self._spike_nnz = 0
         self._splu = None
-        self._inv = None
+        self._inv: Optional[np.ndarray] = None
+        self._inv_owned = True
         instr.add("factorizations")
 
         # Assemble the basis matrix directly in CSC layout: basis columns
@@ -457,7 +516,7 @@ class _BasisFactor:
             rows_B[slots] = art_rows
             vals_B[slots] = art_sign[art_rows]
 
-        if _HAVE_SPLU and m >= _SPLU_MIN_DIM and not _FORCE_DENSE_LU:
+        if _HAVE_SPLU and m >= _SPLU_MIN_DIM and not dense:
             matrix = _scipy_csc(
                 (vals_B, rows_B.astype(np.int32), indptr_B.astype(np.int32)), shape=(m, m)
             )
@@ -466,51 +525,137 @@ class _BasisFactor:
             except RuntimeError as exc:  # exactly singular
                 raise _SingularBasis(str(exc)) from None
             self._base_nnz = int(self._splu.L.nnz + self._splu.U.nnz)
-        else:
+        elif m > _DENSE_MAX_DIM:  # only without SciPy
             B = np.zeros((m, m))
             B[rows_B, np.repeat(np.arange(m), col_lens)] = vals_B
             try:
-                self._inv = np.linalg.inv(B)
+                self._inv = self._track(np.linalg.inv(B.T).T)  # Fortran-ordered
             except np.linalg.LinAlgError as exc:
                 raise _SingularBasis(str(exc)) from None
             self._base_nnz = m * m
+        else:
+            self._inv = self._track(self._pivot_in(col_lens, indptr_B, rows_B, vals_B))
+            self._base_nnz = m * m
         instr.record_max("peak_nnz", lp.A.nnz + self._base_nnz)
 
+    def _pivot_in(
+        self, col_lens: np.ndarray, indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray
+    ) -> np.ndarray:
+        """``B^-1`` for the CSC basis ``(indptr, rows, vals)``, Fortran-ordered.
+
+        Built the way pivots update it (the product-form inverse): start
+        from the inverse of the diagonal that the singleton columns --
+        slacks, artificials -- form, with a unit placeholder on every other
+        row, and pivot each remaining column in on the free row where it is
+        largest (Gauss-Jordan with partial pivoting), one
+        :meth:`_eliminate` each.  No LAPACK call: OpenBLAS's inverse goes
+        multi-threaded from m = 100 on, and with default BLAS threads on a
+        busy 2-vCPU host 1-3 in 100 inversions at m = 180 stalled, up to
+        ~200 ms.
+        """
+        m = self.m
+        single = np.flatnonzero(col_lens == 1)
+        single = single[vals[indptr[single]] != 0.0]
+        single_rows, first = np.unique(rows[indptr[single]], return_index=True)
+        single = single[first]  # a second singleton on a row pivots like any column
+        slot = np.full(m, -1, dtype=np.int64)  # row of the inverse each column owns
+        slot[single] = single_rows
+        diag = np.ones(m)
+        diag[single_rows] = vals[indptr[single]]
+        inv = np.diag(1.0 / diag).T  # Fortran-ordered
+        free = np.ones(m, dtype=bool)
+        free[single_rows] = False
+        for c in np.flatnonzero(slot < 0):
+            lo, hi = indptr[c], indptr[c + 1]
+            w = inv[:, rows[lo:hi]] @ vals[lo:hi]
+            mags = np.abs(w)
+            tol = _SPIKE_DROP_TOL * max(1.0, float(mags.max()))
+            mags *= free
+            r = int(mags.argmax())
+            if not mags[r] > tol:
+                raise _SingularBasis(f"basis column {int(c)} is dependent")
+            piv = float(w[r])
+            w[r] -= 1.0
+            inv = self._eliminate(inv, r, w, piv)
+            free[r] = False
+            slot[c] = r
+        return inv.T.take(slot, axis=1).T  # row i of B^-1 is row slot[i]
+
+    @staticmethod
+    def _eliminate(inv: np.ndarray, r: int, u: np.ndarray, piv: float) -> np.ndarray:
+        """``inv - u inv[r] / piv`` into the Fortran-ordered ``inv``, returned.
+
+        With ``u = w - e_r`` this is ``E inv`` for the elementary matrix
+        ``E = I - (w - e_r) e_r^T / piv`` of a pivot on row ``r``.
+        """
+        pivot_row = inv[r].copy()  # BLAS must not read the row it writes
+        if _HAVE_SPLU:
+            # A k = 1 ``dgemm``, in place.  Not ``dger``: OpenBLAS threads
+            # ``dger`` from m ~ 100 on, and waking its threads between pivots
+            # stalled 1 in ~300 updates by 10-20 ms on a 2-vCPU host; a k = 1
+            # ``dgemm`` stays on the calling thread up to m = 512.
+            return _dgemm(
+                -1.0 / piv, u[:, None], pivot_row[None, :], beta=1.0, c=inv, overwrite_c=True
+            )
+        inv -= np.multiply.outer(u, pivot_row / piv)
+        return inv
+
+    @classmethod
+    def _track(cls, inv: np.ndarray) -> np.ndarray:
+        """Count ``inv`` toward :attr:`_live_bytes` until it is freed."""
+        cls._live_bytes += inv.nbytes
+        weakref.finalize(inv, cls._untrack, inv.nbytes)
+        return inv
+
+    @classmethod
+    def _untrack(cls, nbytes: int) -> None:
+        cls._live_bytes -= nbytes
+
+    def parkable(self) -> bool:
+        """Whether a basis token may keep this factor for later warm starts:
+        always for the spike kind, for a dense inverse only while the live
+        inverses fit :data:`_DENSE_LIVE_BUDGET`."""
+        return self._inv is None or _BasisFactor._live_bytes <= _DENSE_LIVE_BUDGET
+
     def clone(self) -> "_BasisFactor":
-        """Copy-on-write duplicate: shared immutable LU base, private updates.
+        """Copy-on-write duplicate: shared factors, private updates.
 
         Lets a warm start resume from the factorization stored in a
         :class:`_Basis` token without refactorizing and without corrupting
-        siblings that hold the same token.  Only the list *spines* are
+        siblings that hold the same token.  Only the spike list *spine* is
         copied: the spike tuples themselves are immutable by construction
-        (``update`` always appends freshly-allocated arrays and never
-        writes into a stored one), so a child appending its own updates can
-        never mutate a parent's.
+        (``update`` always appends freshly-allocated arrays and never writes
+        into a stored one).  A dense inverse is shared until either side's
+        next update, which copies it first.
         """
         dup = object.__new__(_BasisFactor)
         dup.m = self.m
         dup.stamp = self.stamp
+        dup._n_updates = self._n_updates
         dup._splu = self._splu
         dup._inv = self._inv
         dup._base_nnz = self._base_nnz
         dup._spikes = list(self._spikes)
         dup._spike_nnz = self._spike_nnz
+        self._inv_owned = dup._inv_owned = False
         return dup
 
-    # -- Forrest-Tomlin spike file -----------------------------------------
     @property
     def n_etas(self) -> int:
-        """Number of basis updates recorded since the last factorization."""
-        return len(self._spikes)
+        """Number of basis updates applied since the last factorization."""
+        return self._n_updates
 
     def needs_refactor(self) -> bool:
-        """True when the update file has outgrown its count/nnz budget."""
-        # Small bases refactorize almost for free, so cap their update
-        # count near _REFACTOR_INTERVAL; large bases run up to
-        # _FT_MAX_UPDATES spikes or the nonzero budget, whichever first.
-        cap = min(_FT_MAX_UPDATES, max(_REFACTOR_INTERVAL, 2 * self.m))
+        """True when the factor has taken its kind's budget of updates.
+
+        A dense inverse is rebuilt every :data:`_DENSE_REFACTOR` updates; a
+        spike file at :data:`_FT_MAX_UPDATES` spikes or once its nonzeros
+        pass ``_FT_NNZ_PER_ROW * m + _FT_NNZ_BASE``, whichever comes first.
+        """
+        if self._inv is not None:
+            return self._n_updates >= _DENSE_REFACTOR
         return (
-            len(self._spikes) >= cap
+            self._n_updates >= _FT_MAX_UPDATES
             or self._spike_nnz > _FT_NNZ_PER_ROW * self.m + _FT_NNZ_BASE
         )
 
@@ -518,6 +663,10 @@ class _BasisFactor:
         """Record the pivot ``basis[row] <- column with B^-1 a_q == w``."""
         r = int(row)
         piv = float(w[r])
+        self._n_updates += 1
+        if self._inv is not None:
+            self._update_inverse(r, piv, w)
+            return
         keep = np.abs(w) > _SPIKE_DROP_TOL
         keep[r] = False
         idx = np.flatnonzero(keep)
@@ -529,20 +678,24 @@ class _BasisFactor:
         instr.add("ft_updates")
         instr.record_max("spike_nnz_peak", self._spike_nnz)
 
+    def _update_inverse(self, r: int, piv: float, w: np.ndarray) -> None:
+        """``B^-1 <- E B^-1`` with ``E = I - (w - e_r) e_r^T / piv``."""
+        if not self._inv_owned:
+            self._inv = self._track(np.array(self._inv, order="F"))
+            self._inv_owned = True
+        u = w.copy()  # the caller still reads w
+        u[r] -= 1.0
+        if faultinject.ACTIVE:
+            u = faultinject.corrupt_vector(faultinject.SPIKE, u)
+        self._inv = self._eliminate(self._inv, r, u, piv)
+        instr.add("inverse_updates")
+
     # -- solves ------------------------------------------------------------
-    def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._splu is not None:
-            return self._splu.solve(rhs)
-        return self._inv @ rhs
-
-    def _base_solve_T(self, rhs: np.ndarray) -> np.ndarray:
-        if self._splu is not None:
-            return self._splu.solve(rhs, trans="T")
-        return self._inv.T @ rhs
-
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``B x = rhs`` (LU, then updates oldest-first)."""
-        x = self._base_solve(rhs)
+        """Solve ``B x = rhs`` (dense product, or LU then spikes oldest-first)."""
+        if self._inv is not None:
+            return self._inv @ rhs
+        x = self._splu.solve(rhs)
         for r, piv, idx, vals in self._spikes:
             xr = x[r] / piv
             # Skip-on-zero: entering columns are sparse, so most spikes see
@@ -554,14 +707,17 @@ class _BasisFactor:
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``B^T y = rhs`` (updates newest-first, then LU transpose)."""
+        """Solve ``B^T y = rhs`` (dense product, or spikes newest-first then
+        LU transpose)."""
+        if self._inv is not None:
+            return rhs @ self._inv
         v = rhs.astype(float, copy=True)
         for r, piv, idx, vals in reversed(self._spikes):
             vr = v[r]
             if idx.size:
                 vr -= float(vals @ v[idx])
             v[r] = vr / piv
-        return self._base_solve_T(v)
+        return self._splu.solve(v, trans="T")
 
 
 class _State:
@@ -604,9 +760,13 @@ class _State:
         self.factor = _BasisFactor(self.lp, self.basis, self.art_sign)
 
     def refactor(self) -> None:
-        """Periodic refactorization: rebuild LU and wash out eta drift."""
+        """Periodic refactorization: rebuild the factor and wash out update
+        drift.  A basis of at most :data:`_DENSE_MAX_DIM` rows that filled an
+        update file is on a long pivot run, which the dense inverse serves
+        best from here on."""
         instr.add("refactorizations")
-        self.factorize()
+        dense = self.lp.m <= _DENSE_MAX_DIM
+        self.factor = _BasisFactor(self.lp, self.basis, self.art_sign, dense=dense)
         self.compute_xB()
 
     def solution_vector(self) -> np.ndarray:
@@ -1076,7 +1236,7 @@ def _finish_primal(
         n_rows=lp.m,
         n_cols=lp.n,
         free_mask=lp.free_mask.copy(),
-        factor=state.factor,
+        factor=state.factor if state.factor and state.factor.parkable() else None,
     )
     return "optimal", state.solution_vector(), total, token
 
@@ -1195,8 +1355,8 @@ def _warm_solve(
         and token.factor.stamp == lp.stamp
         and not token.factor.needs_refactor()
     ):
-        # Resume on the parent's factorization: shared LU base, private
-        # eta file.  The residual check below still guards against drift
+        # Resume on the parent's factorization: shared factors, private
+        # updates.  The residual check below still guards against drift
         # accumulated across warm-start generations.
         state.factor = token.factor.clone()
     else:

@@ -73,7 +73,7 @@ class TestDoctoredTree:
             ("instrumentation.md", "| `pivots` |", "| `warp_jumps` | PR 2 | Gone. |", "counter"),
             (
                 "solver-options.md",
-                "| `REPRO_FORCE_DENSE_LU` |",
+                "| `REPRO_BENCH_NO_PERSIST` |",
                 "| `REPRO_WARP_DRIVE` | Gone. |",
                 "env variable",
             ),

@@ -232,9 +232,10 @@ class TestRecoveryLadder:
         assert "resilience-warm-stall" in _rung_rules()
 
     def test_large_basis_ladder_covers_both_factor_paths(self):
-        # 70 rows is above ``_SPLU_MIN_DIM``: with SciPy present this drives
-        # the SuperLU factor path, and under ``REPRO_FORCE_DENSE_LU=1`` (or
-        # without SciPy) the dense-inverse path -- CI runs both.
+        # 70 rows is above ``_SPLU_MIN_DIM``: with SciPy present a fresh
+        # factorization is SuperLU + spike file and a periodic one a dense
+        # inverse; without SciPy every factor is a dense inverse.
+        # TestRecoveryLadderPerFactorKind forces each kind throughout.
         rng = np.random.default_rng(7)
         n = 70
         model = Model("large-cover")
@@ -288,6 +289,29 @@ class TestRecoveryLadderUnderDevex(TestRecoveryLadder):
     @pytest.fixture(autouse=True)
     def _force_devex(self, monkeypatch):
         monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
+
+
+class TestRecoveryLadderPerFactorKind(TestRecoveryLadder):
+    """The same ladder with every basis factor forced to one kind.
+
+    The factor kind follows basis size and history (see
+    ``simplex._BasisFactor``), so the fixture LPs mostly get a dense
+    inverse.  Moving the two size thresholds puts every factorization on
+    SuperLU + spike file (``spike-file``, needs SciPy) or on the dense
+    inverse updated in place (``dense-inverse``, the only kind without
+    SciPy), so each kind survives the same injected faults.
+    """
+
+    @pytest.fixture(autouse=True, params=["spike-file", "dense-inverse"])
+    def _factor_kind(self, request, monkeypatch):
+        if request.param == "spike-file":
+            if not simplex._HAVE_SPLU:
+                pytest.skip("the LU + spike-file factor needs SciPy's splu")
+            monkeypatch.setattr(simplex, "_SPLU_MIN_DIM", 1)
+            monkeypatch.setattr(simplex, "_DENSE_MAX_DIM", 0)
+        else:
+            monkeypatch.setattr(simplex, "_SPLU_MIN_DIM", 1 << 30)
+            monkeypatch.setattr(simplex, "_DENSE_MAX_DIM", 1 << 30)
 
 
 class TestDeadlinePropagation:

@@ -7,9 +7,11 @@ Three layers are covered:
 * property-style equivalence of the sparse and dense lowerings of randomized
   models (``to_standard_form(sparse=True)`` vs ``sparse=False`` must produce
   the same ``A`` / ``b`` / ``c`` / bounds / integrality / row map);
-* the revised simplex's factorized basis: spike-file solves against
-  explicit dense references, refactorization after long update chains, and the
-  one-canonicalization-per-MILP-solve contract of branch and bound.
+* the revised simplex's factorized basis: solves of both factor kinds (LU +
+  spike file, dense inverse updated in place) against explicit dense
+  references, copy-on-write clones, refactorization after long update
+  chains, and the one-canonicalization-per-MILP-solve contract of branch
+  and bound.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.optim import Model, lin_sum
+from repro.optim import FaultPlan, Model, SolveStatus, faultinject, lin_sum, simplex
 from repro.optim import instrumentation as instr
 from repro.optim.simplex import (
+    _DENSE_REFACTOR,
+    _FT_MAX_UPDATES,
     SimplexSolver,
-    _REFACTOR_INTERVAL,
     _BasisFactor,
     _canonicalize,
+    _SingularBasis,
+    solve_standard_form,
 )
 from repro.optim.sparse import SparseMatrix, as_dense
 
@@ -240,7 +245,18 @@ class TestLoweringEquivalence:
 
 
 class TestBasisFactor:
-    """The LU + eta-file machinery against explicit dense references."""
+    """Both factor kinds against explicit dense references.
+
+    The fixture basis has 12 rows, below ``_SPLU_MIN_DIM``, so a factor of
+    it is a dense inverse; the spike-kind tests move that threshold to get
+    SuperLU plus a spike file instead (which needs SciPy).
+    """
+
+    @pytest.fixture
+    def spike_kind(self, monkeypatch):
+        if not simplex._HAVE_SPLU:
+            pytest.skip("the LU + spike-file factor needs SciPy's splu")
+        monkeypatch.setattr(simplex, "_SPLU_MIN_DIM", 1)
 
     def _canonical_fixture(self, rng, m=12):
         """A canonical LP whose first ``m`` columns form a well-conditioned
@@ -255,8 +271,10 @@ class TestBasisFactor:
         model.set_objective(lin_sum(xs))
         return _canonicalize(model.to_standard_form())
 
-    def test_spike_updates_track_explicit_basis_replacements(self):
-        rng = np.random.default_rng(3)
+    def _track_replacements(self, seed, updates, atol):
+        """Apply ``updates`` random basis replacements to a fresh factor,
+        checking FTRAN/BTRAN against ``np.linalg.solve`` after each one."""
+        rng = np.random.default_rng(seed)
         lp = self._canonical_fixture(rng)
         m = lp.m
         basis = np.arange(m, dtype=np.int64)
@@ -264,9 +282,9 @@ class TestBasisFactor:
         factor = _BasisFactor(lp, basis, art_sign)
         B = np.stack([lp.A.gather_col(j, np.zeros(m)) for j in basis], axis=1)
 
-        updates = 0
+        done = 0
         attempts = 0
-        while updates < 40 and attempts < 400:  # well past _REFACTOR_INTERVAL
+        while done < updates and attempts < 10 * updates:
             attempts += 1
             q = int(rng.integers(0, lp.n))
             if q in basis:
@@ -279,23 +297,84 @@ class TestBasisFactor:
             factor.update(r, w)
             basis[r] = q
             B[:, r] = col
-            updates += 1
+            done += 1
 
             rhs = rng.standard_normal(m)
-            np.testing.assert_allclose(factor.ftran(rhs.copy()), np.linalg.solve(B, rhs), atol=1e-7)
+            np.testing.assert_allclose(factor.ftran(rhs.copy()), np.linalg.solve(B, rhs), atol=atol)
             np.testing.assert_allclose(
-                factor.btran(rhs.copy()), np.linalg.solve(B.T, rhs), atol=1e-7
+                factor.btran(rhs.copy()), np.linalg.solve(B.T, rhs), atol=atol
             )
-        assert updates == 40
-        assert factor.needs_refactor()  # long eta file demands refactorization
+        assert done == updates
+        assert factor.n_etas == updates
         fresh = _BasisFactor(lp, basis, art_sign)
         rhs = rng.standard_normal(m)
-        np.testing.assert_allclose(fresh.ftran(rhs.copy()), factor.ftran(rhs.copy()), atol=1e-6)
+        np.testing.assert_allclose(fresh.ftran(rhs.copy()), factor.ftran(rhs.copy()), atol=atol)
+        return lp, basis, art_sign, factor
 
-    def test_clone_is_copy_on_write(self):
-        """A child's updates must never leak into the parent: the parent's
-        update file stays empty and its solves stay bitwise-identical to
-        before the clone pivoted."""
+    def test_spike_updates_track_explicit_basis_replacements(self, spike_kind):
+        instr.reset()
+        _, _, _, factor = self._track_replacements(3, _FT_MAX_UPDATES, 1e-7)
+        assert factor.needs_refactor()  # a full spike file demands refactorization
+        assert instr.get("ft_updates") == _FT_MAX_UPDATES
+        assert instr.get("inverse_updates") == 0
+
+    def test_dense_inverse_updates_track_explicit_basis_replacements(self):
+        instr.reset()
+        lp, basis, _, factor = self._track_replacements(3, _DENSE_REFACTOR - 1, 1e-9)
+        assert not factor.needs_refactor()
+        assert instr.get("inverse_updates") == _DENSE_REFACTOR - 1
+        assert instr.get("ft_updates") == 0
+        q = next(j for j in range(lp.n) if j not in basis)
+        w = factor.ftran(lp.A.gather_col(q, np.zeros(lp.m)))
+        factor.update(int(np.argmax(np.abs(w))), w)
+        assert factor.needs_refactor()  # the update budget is spent
+
+    def _mixed_basis(self, rng):
+        """The fixture LP with an artificial unit column (random sign) on
+        every third row and structural columns elsewhere."""
+        lp = self._canonical_fixture(rng)
+        m = lp.m
+        basis = np.arange(m, dtype=np.int64)
+        basis[::3] = lp.n + np.arange(m)[::3]
+        art_sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        return lp, basis, art_sign
+
+    @pytest.mark.parametrize("max_dim", [simplex._DENSE_MAX_DIM, 4], ids=["pivoted-in", "lapack"])
+    def test_dense_inverse_matches_explicit_solves(self, monkeypatch, max_dim):
+        """A dense factor solves like ``np.linalg.solve`` whether it was
+        built by pivoting the columns into the unit diagonal or, above
+        ``_DENSE_MAX_DIM`` (reachable only without SciPy), by LAPACK."""
+        monkeypatch.setattr(simplex, "_DENSE_MAX_DIM", max_dim)
+        rng = np.random.default_rng(7)
+        lp, basis, art_sign = self._mixed_basis(rng)
+        m = lp.m
+        factor = _BasisFactor(lp, basis, art_sign)
+        assert factor._inv is not None and factor._inv.flags.f_contiguous
+        B = np.zeros((m, m))
+        for i, j in enumerate(basis):
+            if j < lp.n:
+                B[:, i] = lp.A.gather_col(int(j), np.zeros(m))
+            else:
+                B[j - lp.n, i] = art_sign[j - lp.n]
+        rhs = rng.standard_normal(m)
+        np.testing.assert_allclose(factor.ftran(rhs.copy()), np.linalg.solve(B, rhs), atol=1e-10)
+        np.testing.assert_allclose(factor.btran(rhs.copy()), np.linalg.solve(B.T, rhs), atol=1e-10)
+
+    def test_dependent_basis_columns_raise_singular_basis(self):
+        """A repeated structural column, or two unit columns on one row,
+        leave no free row to pivot into: the dense build must say so."""
+        rng = np.random.default_rng(7)
+        lp, basis, art_sign = self._mixed_basis(rng)
+        for first, second in ((1, 2), (0, 3)):
+            dup = basis.copy()
+            dup[second] = dup[first]
+            with pytest.raises(_SingularBasis):
+                _BasisFactor(lp, dup, art_sign)
+
+    def _assert_clone_is_copy_on_write(self):
+        """A child's updates must never leak into the parent, nor the
+        parent's into the child: the untouched side keeps an empty update
+        count and bitwise-identical solves."""
         rng = np.random.default_rng(5)
         lp = self._canonical_fixture(rng)
         m = lp.m
@@ -304,21 +383,57 @@ class TestBasisFactor:
         rhs = rng.standard_normal(m)
         before_ftran = factor.ftran(rhs.copy())
         before_btran = factor.btran(rhs.copy())
-        clone = factor.clone()
-        col = lp.A.gather_col(m, np.zeros(m))
-        w = factor.ftran(col)
-        clone.update(int(np.argmax(np.abs(w))), w)
-        clone.update(int(np.argmin(np.abs(w - 1.0))), clone.ftran(col.copy()))
-        assert clone.n_etas == 2
-        assert factor.n_etas == 0  # the original's update file is untouched
-        np.testing.assert_array_equal(factor.ftran(rhs.copy()), before_ftran)
-        np.testing.assert_array_equal(factor.btran(rhs.copy()), before_btran)
+        entering = [lp.A.gather_col(j, np.zeros(m)) for j in (m, m + 1)]
+        for pivoting, watched in ((0, 1), (1, 0)):
+            pair = [factor, factor.clone()]
+            child = pair[pivoting]
+            for col in entering:
+                w = child.ftran(col.copy())
+                child.update(int(np.argmax(np.abs(w))), w)
+            assert child.n_etas == 2
+            assert pair[watched].n_etas == 0  # the other side's updates are untouched
+            np.testing.assert_array_equal(pair[watched].ftran(rhs.copy()), before_ftran)
+            np.testing.assert_array_equal(pair[watched].btran(rhs.copy()), before_btran)
+            factor = pair[watched]
 
-    def test_warm_chain_triggers_refactorization_and_stays_exact(self):
+    def test_clone_is_copy_on_write(self, spike_kind):
+        self._assert_clone_is_copy_on_write()
+
+    def test_dense_inverse_clone_is_copy_on_write(self):
+        self._assert_clone_is_copy_on_write()
+
+    def test_corrupt_dense_update_recovers_to_clean_optimum(self):
+        """A poisoned in-place update NaNs the inverse; the solve must see
+        the non-finite solves and climb the ladder to the clean optimum."""
+        rng = np.random.default_rng(11)
+        model = Model("poisoned", sense="min")
+        xs = [model.add_var(f"x{j}") for j in range(8)]
+        for i in range(6):
+            coeffs = rng.uniform(0.1, 1.0, size=8)
+            model.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 1.0)
+        model.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, size=8), xs)))
+        form = model.to_standard_form()
+        clean = solve_standard_form(form)
+        assert clean.status is SolveStatus.OPTIMAL
+        instr.reset()
+        with faultinject.inject(FaultPlan(corrupt_spikes=(1,))) as armed:
+            faulted = solve_standard_form(form)
+        assert armed.fired[faultinject.SPIKE] == 1
+        assert instr.get("inverse_updates") >= 1
+        assert instr.get("ft_updates") == 0
+        assert faulted.status is SolveStatus.OPTIMAL
+        assert faulted.objective == pytest.approx(clean.objective, abs=1e-9)
+
+    def test_warm_chain_triggers_refactorization_and_stays_exact(self, monkeypatch):
         """A long warm-started re-solve chain must refactorize and keep
-        matching a cold solve of the same data (eta-drift regression)."""
+        matching a cold solve of the same data (update-drift regression).
+
+        The chain makes about one basis update per two re-solves, so the
+        dense inverse's rebuild budget is lowered to reach it in 50 steps.
+        """
         from repro.optim import SolverSession
-        from repro.optim.simplex import solve_standard_form
+
+        monkeypatch.setattr(simplex, "_DENSE_REFACTOR", 8)
 
         rng = np.random.default_rng(17)
         model = Model("chain", sense="min")
@@ -329,7 +444,7 @@ class TestBasisFactor:
         model.set_objective(lin_sum(float(c) * x for c, x in zip([2, 1, 3, 1.5, 2.5, 1.2], xs)))
         session = SolverSession(model, backend="simplex")
         instr.reset()
-        for step in range(25 * max(1, _REFACTOR_INTERVAL // 8)):
+        for step in range(50):
             for name, hi in (("cover", 12.0), ("mix", 6.0), ("pair", 4.0)):
                 rhs = float(rng.uniform(0.5, hi))
                 session.update_constraint_rhs(name, rhs)
@@ -339,7 +454,9 @@ class TestBasisFactor:
             assert warm.status is cold.status, f"step {step}"
             if cold.objective is not None:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-6), f"step {step}"
-        assert instr.get("ft_updates") > _REFACTOR_INTERVAL
+        # Three rows: a dense inverse, rebuilt after every 8 updates.
+        assert instr.get("inverse_updates") > 8
+        assert instr.get("ft_updates") == 0
         assert instr.get("refactorizations") >= 1
 
 
@@ -383,6 +500,28 @@ class TestCanonicalizationContract:
         assert sol1.objective == pytest.approx(2.0)
         assert sol2.objective == pytest.approx(2.0)
         assert instr.get("canonicalizations") == 1
+
+    def test_tokens_drop_dense_factors_past_the_live_budget(self, monkeypatch):
+        """A basis token keeps its dense inverse only while the live inverses
+        fit ``_DENSE_LIVE_BUDGET``; past it the token carries no factor and
+        the warm start from it refactorizes to the same optimum."""
+        model = Model("parked", sense="min")
+        x = model.add_var("x", lb=0.0, ub=4.0)
+        y = model.add_var("y", lb=0.0, ub=4.0)
+        model.add_constr(x + y >= 2, name="cover")
+        model.add_constr(x - y <= 1, name="skew")
+        model.set_objective(x + 2 * y)
+        solver = SimplexSolver(model.to_standard_form())
+        _, kept = solver.solve()
+        assert kept.factor is not None and kept.factor._inv is not None
+        monkeypatch.setattr(simplex, "_DENSE_LIVE_BUDGET", 0)
+        _, parked = solver.solve(warm_basis=kept)
+        assert parked.factor is None
+        instr.reset()
+        lb, ub = np.array([1.0, 0.0]), np.array([4.0, 4.0])
+        resumed, _ = solver.solve(lb=lb, ub=ub, warm_basis=parked)
+        assert instr.get("factorizations") >= 1
+        assert resumed.objective == pytest.approx(solver.solve(lb=lb, ub=ub)[0].objective)
 
     def test_bound_class_change_recanonicalizes(self):
         model = Model("reclass", sense="min")
