@@ -162,8 +162,11 @@ def compute_probe_set(
         wanted = {link_key(*l) for l in links_to_cover}
 
     probes = _candidate_probes(pop.graph, candidates, weight=weight)
-    coverage: Dict[int, Set[LinkKey]] = {
-        i: set(p.links) & wanted for i, p in enumerate(probes)
+    # Lists, not sets: SetCoverInstance copies each subset into a set of its
+    # own, and with ~12k candidate probes on pop80 a second set per probe
+    # was the largest transient of the Figure-11 sweep.
+    coverage: Dict[int, List[LinkKey]] = {
+        i: [link for link in p.links if link in wanted] for i, p in enumerate(probes)
     }
     coverable = set().union(*coverage.values()) if coverage else set()
     uncoverable = wanted - coverable

@@ -10,6 +10,7 @@ approximation ratio [Slavik 1996, Feige 1998].
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -88,39 +89,61 @@ def greedy_set_cover(instance: SetCoverInstance) -> List[Hashable]:
     """Classical greedy algorithm for (weighted) set cover.
 
     At each step the subset minimizing ``weight / |newly covered elements|``
-    is selected.  For unit weights this is the textbook greedy with the
-    ``H(|S|) <= ln|S| + 1`` guarantee.
+    is selected; among equal ratios the one covering more new elements,
+    then the one listed first in ``instance.subsets``.  For unit weights
+    this is the textbook greedy with the ``H(|S|) <= ln|S| + 1`` guarantee.
+
+    The choice is made lazily (Minoux's accelerated greedy): a heap holds
+    every subset keyed on ``(ratio, -gain, position)`` as last computed.
+    A subset's gain only shrinks as elements get covered, so with
+    non-negative weights a stored key never overstates the true one; the
+    top entry is recomputed, and taken when its key did not move, else
+    pushed back with the new key.  Each pick thus rescans a few subsets
+    instead of all of them.
+
+    Ties are broken only between exactly equal ratios: two ratios that
+    differ by less than 1e-12 without being equal are ordered by value, not
+    treated as a tie broken by gain.  Every caller in this package uses unit
+    weights, whose ratios ``1/g`` are either equal or at least
+    ``1/(g(g+1))`` apart, so no caller has such ratios.
 
     Raises
     ------
+    ValueError
+        If a weight is negative (a stored key could then overstate the
+        true one).
     InfeasibleError
         If the union of all subsets does not cover the universe.
     """
     if not instance.is_coverable:
         raise InfeasibleError("the subsets do not cover the universe")
+    labels = list(instance.subsets)
+    weights = [instance.weights[label] for label in labels]
+    if any(w < 0 for w in weights):
+        raise ValueError("greedy set cover needs non-negative subset weights")
+    subsets = [instance.subsets[label] for label in labels]
+    heap = [
+        (w / len(items), -len(items), i)
+        for i, (w, items) in enumerate(zip(weights, subsets))
+        if items
+    ]
+    heapq.heapify(heap)
     uncovered = set(instance.universe)
-    remaining = dict(instance.subsets)
     selection: List[Hashable] = []
     while uncovered:
-        best_label = None
-        best_ratio = float("inf")
-        best_gain = 0
-        for label, items in remaining.items():
-            gain = len(items & uncovered)
-            if gain == 0:
-                continue
-            ratio = instance.weights[label] / gain
-            # Break ties towards larger absolute gain, then stable label order.
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12 and gain > best_gain
-            ):
-                best_label, best_ratio, best_gain = label, ratio, gain
-        if best_label is None:  # unreachable: is_coverable was checked above
+        if not heap:  # unreachable: is_coverable was checked above
             raise InternalSolverError(
                 "greedy set cover found no subset with positive gain on a coverable instance"
             )
-        selection.append(best_label)
-        uncovered -= remaining.pop(best_label)
+        _, neg_gain, i = heapq.heappop(heap)
+        gain = len(subsets[i] & uncovered)
+        if gain == 0:
+            continue
+        if gain != -neg_gain:
+            heapq.heappush(heap, (weights[i] / gain, -gain, i))
+            continue
+        selection.append(labels[i])
+        uncovered -= subsets[i]
     return selection
 
 

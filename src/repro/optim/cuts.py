@@ -345,9 +345,7 @@ def separate_gomory_cuts(
         beta = float(x[col_var[k]])
         f0 = beta - math.floor(beta)
 
-        e_r = np.zeros(m)
-        e_r[r] = 1.0
-        rho = token.factor.btran(e_r)
+        rho = token.factor.btran_unit(r)
         alpha = lp.A.rmatvec(rho)
 
         # Shifted-space cut sum(gamma_j * t_j) >= 1 over the nonbasic

@@ -41,7 +41,14 @@ needs_refactor`), which also recomputes the basic values to wash out drift.
 
 Per iteration the work is two solves against the factorization
 (FTRAN/BTRAN), one sparse pricing pass and an O(m) state update -- never
-the O(m*n) full-tableau pivot of the previous implementation.
+the O(m*n) full-tableau pivot of the previous implementation.  On the
+dense kind the BTRAN of a unit vector -- the dual loop's pivot row, the
+devex ``rho``, a Gomory cut's tableau row -- is a row read of ``B^-1``
+(:meth:`_BasisFactor.btran_unit`).  At the sizes of the paper's instances
+(m ~ 130-290) a pivot costs numpy calls more than flops, so the loops keep
+what they read every iteration -- each column's eligibility sign and each
+row's basic bounds -- in step with the pivots and bound flips
+(:class:`_State`) instead of rebuilding it.
 
 Pricing depends on the instance only: below :data:`_DEVEX_MIN_COLS`
 canonical columns Dantzig's rule prices every column per iteration; at or
@@ -86,7 +93,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -217,6 +224,9 @@ except ImportError:  # pragma: no cover - numpy-only environment
 #: Non-basic-at-lower-bound / non-basic-at-upper-bound / basic statuses.
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
+#: :attr:`_State.sign` of a movable column, indexed by its status.
+_STATUS_SIGN = np.array([1.0, -1.0, 0.0])
+
 
 #: Monotonic stamp distinguishing canonical lowerings; a stored basis
 #: factorization is only reusable against the exact matrix data (stamp) it
@@ -261,7 +271,7 @@ class _CanonicalLP:
         """Map a canonical point back to the original variable space."""
         x = y[self.plus_index].astype(float, copy=True)
         split = self.minus_index >= 0
-        if np.any(split):
+        if split.any():
             x[split] -= y[self.minus_index[split]]
         return x
 
@@ -719,11 +729,48 @@ class _BasisFactor:
             v[r] = vr / piv
         return self._splu.solve(v, trans="T")
 
+    def btran_unit(self, r: int) -> np.ndarray:
+        """``B^-T e_r`` as a fresh array: row ``r`` of a dense inverse (the
+        product ``e_r @ B^-1`` reads exactly that row), a full BTRAN of the
+        unit vector on the spike kind."""
+        if self._inv is not None:
+            return self._inv[r].copy()
+        e_r = np.zeros(self.m)
+        e_r[r] = 1.0
+        return self.btran(e_r)
+
 
 class _State:
-    """Mutable simplex state: basis, statuses, basic values, factorization."""
+    """Mutable simplex state: basis, statuses, basic values, factorization.
 
-    __slots__ = ("lp", "basis", "vstat", "art_sign", "lower_ext", "upper_ext", "xB", "factor")
+    The pivot loops also read vectors derived from ``vstat`` / ``basis``
+    and the bounds, built by :meth:`track_statuses` when a loop starts and
+    then kept in step by :meth:`pivot` and :meth:`flip` instead of being
+    rebuilt every iteration: ``sign`` (per structural column +1 when
+    movable and at its lower bound, -1 when movable and at its upper bound,
+    0 when basic or fixed -- ``movable`` meaning lower < upper) and
+    ``lB`` / ``uB`` (the bounds of each row's basic variable).  The bounds
+    themselves must not change while a loop runs.
+    """
+
+    __slots__ = (
+        "lp",
+        "basis",
+        "vstat",
+        "art_sign",
+        "lower_ext",
+        "upper_ext",
+        "xB",
+        "factor",
+        "movable",
+        "sign",
+        "lB",
+        "uB",
+    )
+    movable: np.ndarray
+    sign: np.ndarray
+    lB: np.ndarray
+    uB: np.ndarray
 
     def __init__(
         self,
@@ -742,6 +789,39 @@ class _State:
         self.upper_ext = upper_ext
         self.xB = np.zeros(lp.m)
         self.factor: Optional[_BasisFactor] = None
+
+    def track_statuses(self) -> None:
+        """Build ``movable``, ``sign``, ``lB`` and ``uB`` from the current
+        statuses, basis and bounds."""
+        n_cols = self.lp.n
+        st = self.vstat[:n_cols]
+        self.movable = self.lower_ext[:n_cols] < self.upper_ext[:n_cols]
+        self.sign = np.where(self.movable, _STATUS_SIGN[st], 0.0)
+        self.lB = self.lower_ext[self.basis]
+        self.uB = self.upper_ext[self.basis]
+
+    def pivot(self, r: int, q: int, leaving_status: int) -> int:
+        """Column ``q`` enters the basis at row ``r``; the leaving variable,
+        returned, rests at ``leaving_status``."""
+        leaving = int(self.basis[r])
+        self.vstat[leaving] = leaving_status
+        self.vstat[q] = BASIC
+        self.basis[r] = q
+        self.lB[r] = self.lower_ext[q]
+        self.uB[r] = self.upper_ext[q]
+        self.sign[q] = 0.0
+        if leaving < self.sign.size and self.movable[leaving]:
+            self.sign[leaving] = 1.0 if leaving_status == AT_LOWER else -1.0
+        return leaving
+
+    def flip(self, q: int) -> None:
+        """Move the non-basic movable column ``q`` to its opposite bound."""
+        if self.vstat[q] == AT_LOWER:
+            self.vstat[q] = AT_UPPER
+            self.sign[q] = -1.0
+        else:
+            self.vstat[q] = AT_LOWER
+            self.sign[q] = 1.0
 
     def nonbasic_values(self) -> np.ndarray:
         """Value of every column as implied by its status (0 on basic slots)."""
@@ -806,14 +886,13 @@ class _DevexPricer:
         A: SparseMatrix,
         costs: np.ndarray,
         y: np.ndarray,
-        vstat: np.ndarray,
-        movable: np.ndarray,
+        sign: np.ndarray,
     ) -> Tuple[int, float]:
         """Pick the entering column; ``(-1, 0.0)`` means priced optimal.
 
-        Scans blocks cyclically from the cursor and stops at the first
-        block holding an eligible candidate -- a full sweep only happens
-        when the solve is (nearly) optimal.
+        ``sign`` is :attr:`_State.sign`.  Scans blocks cyclically from the
+        cursor and stops at the first block holding an eligible candidate
+        -- a full sweep only happens when the solve is (nearly) optimal.
         """
         instr.add("pricing_passes")
         nblocks = len(self.bounds) - 1
@@ -822,12 +901,8 @@ class _DevexPricer:
             blk = (self.cursor + k) % nblocks
             lo, hi = self.bounds[blk], self.bounds[blk + 1]
             d_blk = costs[lo:hi] - A.rmatvec_range(lo, hi, y)
-            st = vstat[lo:hi]
-            eligible = movable[lo:hi] & (
-                ((st == AT_LOWER) & (d_blk < -EPS)) | ((st == AT_UPPER) & (d_blk > EPS))
-            )
             scanned += hi - lo
-            idx = np.flatnonzero(eligible)
+            idx = (sign[lo:hi] * d_blk < -EPS).nonzero()[0]
             if idx.size:
                 score = d_blk[idx] ** 2 / self.weights[lo + idx]
                 j = int(idx[int(np.argmax(score))])
@@ -863,7 +938,7 @@ class _DevexPricer:
         if hi > lo:
             alpha_blk = A.rmatvec_range(lo, hi, rho)
             cand = (alpha_blk / alpha_q) ** 2 * w_q
-            if np.all(np.isfinite(cand)):
+            if np.isfinite(cand).all():
                 np.maximum(self.weights[lo:hi], cand, out=self.weights[lo:hi])
         if 0 <= leaving < self.weights.size:
             self.weights[leaving] = max(w_q / (alpha_q * alpha_q), 1.0)
@@ -897,7 +972,8 @@ def _primal_iterations(
     """
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
-    movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
+    state.track_statuses()
+    sign = state.sign
     pricer = _DevexPricer(n_cols) if (devex and not bland) else None
     iterations = 0
     stalled = _STALL_LIMIT if bland else 0
@@ -923,13 +999,13 @@ def _primal_iterations(
             y_exact = True
         else:
             y_exact = False
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             # A poisoned update (e.g. an injected spike corruption) NaNs the
             # dual prices; without this check the NaN reduced costs would
             # price as "no candidate" and return a bogus "optimal".
             raise _NonFinitePivot("dual prices came back non-finite from BTRAN")
         if devex_mode:
-            q, dq = pricer.select(A, costs, y, state.vstat, movable)
+            q, dq = pricer.select(A, costs, y, sign)
             if q < 0:
                 if y_exact:
                     return "optimal", iterations
@@ -937,24 +1013,21 @@ def _primal_iterations(
                 # on an exact BTRAN before declaring it.
                 y = state.factor.btran(costs[state.basis])
                 y_exact = True
-                if not np.all(np.isfinite(y)):
+                if not np.isfinite(y).all():
                     raise _NonFinitePivot("dual prices came back non-finite from BTRAN")
-                q, dq = pricer.select(A, costs, y, state.vstat, movable)
+                q, dq = pricer.select(A, costs, y, sign)
                 if q < 0:
                     return "optimal", iterations
         else:
             d = costs[:n_cols] - A.rmatvec(y)
-            eligible = movable & (
-                ((state.vstat[:n_cols] == AT_LOWER) & (d < -EPS))
-                | ((state.vstat[:n_cols] == AT_UPPER) & (d > EPS))
-            )
-            idx = np.flatnonzero(eligible)
+            # sign * d < -EPS: at lower with d < -EPS, or at upper with d > EPS.
+            idx = (sign * d < -EPS).nonzero()[0]
             if idx.size == 0:
                 return "optimal", iterations
             if stalled >= _STALL_LIMIT:
                 q = int(idx[0])  # Bland's anti-cycling rule
             else:
-                q = int(idx[np.argmax(np.abs(d[idx]))])  # Dantzig
+                q = int(idx[np.abs(d[idx]).argmax()])  # Dantzig
             dq = float(d[q])
         sigma = 1.0 if dq < 0 else -1.0
 
@@ -962,18 +1035,22 @@ def _primal_iterations(
         w = state.factor.ftran(col)
         if faultinject.ACTIVE:
             w = faultinject.corrupt_vector(faultinject.PIVOT_FTRAN, w)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise _NonFinitePivot("entering column came back non-finite from FTRAN")
         wd = sigma * w
-        lB = state.lower_ext[state.basis]
-        uB = state.upper_ext[state.basis]
+        # Bounded ratio test: rows where the step drives the basic value
+        # down (wd > EPS) stop at its lower bound, rows where it drives it
+        # up (wd < -EPS) at its upper bound; the rest never block.  A NaN
+        # or -inf ratio (infinite bound arithmetic) never blocks either.
         t = np.full(m, math.inf)
-        pos = wd > EPS
-        neg = wd < -EPS
         with np.errstate(invalid="ignore"):
-            t[pos] = (state.xB[pos] - lB[pos]) / wd[pos]
-            t[neg] = (state.xB[neg] - uB[neg]) / wd[neg]
-        np.nan_to_num(t, copy=False, nan=math.inf, posinf=math.inf, neginf=math.inf)
+            np.divide(
+                state.xB - np.where(wd > EPS, state.lB, state.uB),
+                wd,
+                out=t,
+                where=np.abs(wd) > EPS,
+            )
+        np.copyto(t, math.inf, where=~(t > -math.inf))
         np.maximum(t, 0.0, out=t)
         t_basic = float(t.min()) if m else math.inf
         t_flip = state.upper_ext[q] - state.lower_ext[q]
@@ -984,35 +1061,30 @@ def _primal_iterations(
             # The entering variable hits its own opposite bound first: flip
             # its status, adjust the basic values, no pivot.
             state.xB -= t_flip * wd
-            state.vstat[q] = AT_UPPER if sigma > 0 else AT_LOWER
+            state.flip(q)
             step = t_flip
             instr.add("bound_flips")
         else:
-            ties = np.flatnonzero(t <= t_basic + EPS)
+            ties = (t <= t_basic + EPS).nonzero()[0]
             if stalled >= _STALL_LIMIT:
                 # Bland mode: lowest basis index among ties -- required for
                 # the finite-termination guarantee of Bland's rule.
-                r = int(ties[np.argmin(state.basis[ties])])
+                r = int(ties[state.basis[ties].argmin()])
             else:
                 # Largest pivot magnitude among ties: the numerically stable
                 # choice, and on degenerate vertices it leaves the tie set
                 # far faster than a fixed-index rule.
-                r = int(ties[np.argmax(np.abs(wd[ties]))])
-            leaving = int(state.basis[r])
+                r = int(ties[np.abs(wd[ties]).argmax()])
             state.xB -= t_basic * wd
             enter_from = state.lower_ext[q] if sigma > 0 else state.upper_ext[q]
             state.xB[r] = enter_from + sigma * t_basic
-            state.vstat[leaving] = AT_LOWER if wd[r] > 0 else AT_UPPER
-            state.vstat[q] = BASIC
-            state.basis[r] = q
+            leaving = state.pivot(r, q, AT_LOWER if wd[r] > 0 else AT_UPPER)
             if devex_mode:
                 # rho = B^-T e_r of the *pre-pivot* basis, shared by the
                 # devex weight recurrence and the incremental dual update
                 # y' = y + (d_q / alpha_rq) rho  (zeroes the entering
                 # reduced cost exactly as the basis-change algebra demands).
-                e_r = np.zeros(m)
-                e_r[r] = 1.0
-                rho = state.factor.btran(e_r)
+                rho = state.factor.btran_unit(r)
                 pricer.on_pivot(A, q, r, w, leaving, rho)
                 wr = float(w[r])
                 if wr != 0.0 and math.isfinite(wr):
@@ -1082,7 +1154,8 @@ def _dual_iterations(
     """
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
-    movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
+    state.track_statuses()
+    sign, lB, uB = state.sign, state.lB, state.uB
     if d is None:
         d = _reduced_costs(state, costs)
     dweights = np.ones(m) if devex else None
@@ -1097,40 +1170,39 @@ def _dual_iterations(
         if state.factor.needs_refactor():
             state.refactor()
             d = _reduced_costs(state, costs)
-        lB = state.lower_ext[state.basis]
-        uB = state.upper_ext[state.basis]
+        if m == 0:
+            return "feasible", iterations
         below = lB - state.xB
         above = state.xB - uB
         viol = np.maximum(below, above)
-        if m == 0 or viol.max() <= _WARM_FEAS_TOL:
+        r = int(viol.argmax())
+        # argmax stops at the first NaN, which then fails the comparison: a
+        # NaN basic value is never "feasible".
+        if viol[r] <= _WARM_FEAS_TOL:
             return "feasible", iterations
-        if dweights is None:
-            r = int(np.argmax(viol))
-        else:
+        if dweights is not None:
             scores = np.full(m, -math.inf)
             sel = viol > _WARM_FEAS_TOL
             scores[sel] = viol[sel] * viol[sel] / dweights[sel]
-            r = int(np.argmax(scores))
+            r = int(scores.argmax())
         below_case = below[r] >= above[r]
 
-        e_r = np.zeros(m)
-        e_r[r] = 1.0
-        rho = state.factor.btran(e_r)
+        rho = state.factor.btran_unit(r)
         alpha = A.rmatvec(rho)
-        if not np.all(np.isfinite(alpha)):
+        if not np.isfinite(alpha).all():
             raise _NonFinitePivot("dual pricing row came back non-finite from BTRAN")
 
-        at_low = state.vstat[:n_cols] == AT_LOWER
-        at_up = state.vstat[:n_cols] == AT_UPPER
-        if below_case:  # the leaving basic must increase back to its lower bound
-            eligible = movable & ((at_low & (alpha < -EPS)) | (at_up & (alpha > EPS)))
+        # The leaving basic must increase back to its lower bound
+        # (below_case: at lower with alpha < -EPS, or at upper with
+        # alpha > EPS) or decrease back to its upper bound (the mirror).
+        signed = sign * alpha
+        if below_case:
+            idx = (signed < -EPS).nonzero()[0]
         else:
-            eligible = movable & ((at_low & (alpha > EPS)) | (at_up & (alpha < -EPS)))
-        idx = np.flatnonzero(eligible)
+            idx = (signed > EPS).nonzero()[0]
         if idx.size == 0:
             return "infeasible", iterations
         ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-        order = idx[np.argsort(ratios, kind="stable")]
         target = lB[r] if below_case else uB[r]
 
         # Bound-flipping ratio test.  Candidates are visited in ascending
@@ -1147,13 +1219,12 @@ def _dual_iterations(
         # bounds, the flipped columns' prices are left inconsistent, so we
         # return "stalled" and let the caller cold-solve.
         pivoted = False
-        for q_raw in order:
-            q = int(q_raw)
+        for q in _ascending_ratios(idx, ratios):
             col = A.gather_col(q, np.zeros(m))
             w = state.factor.ftran(col)
             if faultinject.ACTIVE:
                 w = faultinject.corrupt_vector(faultinject.PIVOT_FTRAN, w)
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise _NonFinitePivot("entering column came back non-finite from FTRAN")
             if abs(w[r]) < 1e-11:
                 return "stalled", iterations
@@ -1162,7 +1233,7 @@ def _dual_iterations(
             if math.isfinite(range_q) and abs(t) > range_q + EPS:
                 delta = range_q if t > 0 else -range_q
                 state.xB -= delta * w
-                state.vstat[q] = AT_UPPER if state.vstat[q] == AT_LOWER else AT_LOWER
+                state.flip(q)
                 iterations += 1
                 instr.add("dual_bound_flips")
                 still_violated = (
@@ -1174,12 +1245,9 @@ def _dual_iterations(
                     return "stalled", iterations
                 continue
             enter_from = state.lower_ext[q] if state.vstat[q] == AT_LOWER else state.upper_ext[q]
-            leaving = int(state.basis[r])
             state.xB -= t * w
             state.xB[r] = enter_from + t
-            state.vstat[leaving] = AT_LOWER if below_case else AT_UPPER
-            state.vstat[q] = BASIC
-            state.basis[r] = q
+            leaving = state.pivot(r, q, AT_LOWER if below_case else AT_UPPER)
             state.factor.update(r, w)
             if dweights is not None:
                 # Devex row-weight recurrence: rows touched by the pivot
@@ -1188,7 +1256,7 @@ def _dual_iterations(
                 wr = float(w[r])
                 ref = dweights[r]
                 cand = (w / wr) ** 2 * ref
-                if np.all(np.isfinite(cand)):
+                if np.isfinite(cand).all():
                     np.maximum(dweights, cand, out=dweights)
                 dweights[r] = max(ref / (wr * wr), 1.0)
                 if float(dweights.max()) > _DEVEX_RESET_LIMIT:
@@ -1210,6 +1278,23 @@ def _dual_iterations(
         if not pivoted:
             return "stalled", iterations
     return "stalled", iterations
+
+
+def _ascending_ratios(idx: np.ndarray, ratios: np.ndarray) -> Iterator[int]:
+    """The columns ``idx`` in the order ``idx[np.argsort(ratios, kind="stable")]``
+    lists them, sorting only when the caller asks past the first.
+
+    The first is the smallest ratio's first occurrence (``argmin``), which
+    is where the stable sort puts it too -- unless a ratio is NaN: ``argmin``
+    stops at the first NaN, the sort puts NaNs last, so then the sorted
+    order is used from the start.
+    """
+    k = int(ratios.argmin())
+    first = ratios[k] == ratios[k]
+    if first:
+        yield int(idx[k])
+    for q in idx[np.argsort(ratios, kind="stable")][1 if first else 0 :]:
+        yield int(q)
 
 
 def _finish_primal(
@@ -1343,7 +1428,7 @@ def _warm_solve(
     st = vstat[:n_cols]
     bad_low = (st == AT_LOWER) & np.isneginf(lp.lower)
     bad_up = (st == AT_UPPER) & np.isposinf(lp.upper)
-    if np.any(bad_low & ~np.isfinite(lp.upper)) or np.any(bad_up & ~np.isfinite(lp.lower)):
+    if (bad_low & ~np.isfinite(lp.upper)).any() or (bad_up & ~np.isfinite(lp.lower)).any():
         return None
     st[bad_low] = AT_UPPER
     st[bad_up] = AT_LOWER
@@ -1365,7 +1450,7 @@ def _warm_solve(
         except _SingularBasis:
             return None
     state.compute_xB()
-    if not np.all(np.isfinite(state.xB)):
+    if not np.isfinite(state.xB).all():
         return None
 
     # Verify the refactorized basis actually reproduces the constraints
@@ -1377,11 +1462,11 @@ def _warm_solve(
     if art_basic.size:
         art_rows = basis[art_basic] - n_cols
         gap[art_rows] -= art_sign[art_rows] * state.xB[art_basic]
-        if np.max(np.abs(state.xB[art_basic])) > _WARM_FEAS_TOL:
+        if np.abs(state.xB[art_basic]).max() > _WARM_FEAS_TOL:
             return None
         state.xB[art_basic] = 0.0
-    scale = 1.0 + (np.max(np.abs(lp.b)) if m else 0.0)
-    if m and np.max(np.abs(gap)) > 1e-6 * scale:
+    scale = 1.0 + (np.abs(lp.b).max() if m else 0.0)
+    if m and np.abs(gap).max() > 1e-6 * scale:
         return None
 
     costs = np.concatenate((lp.c, np.zeros(m)))
@@ -1392,10 +1477,12 @@ def _warm_solve(
         ((st == AT_LOWER) & (d < -_WARM_FEAS_TOL))
         | ((st == AT_UPPER) & (d > _WARM_FEAS_TOL))
     )
-    dual_ok = not np.any(dual_bad)
+    dual_ok = not dual_bad.any()
     lB = lower_ext[basis]
     uB = upper_ext[basis]
-    primal_ok = bool(np.all(state.xB >= lB - _WARM_FEAS_TOL) and np.all(state.xB <= uB + _WARM_FEAS_TOL))
+    primal_ok = bool(
+        (state.xB >= lB - _WARM_FEAS_TOL).all() and (state.xB <= uB + _WARM_FEAS_TOL).all()
+    )
     if primal_ok:
         np.clip(state.xB, lB, uB, out=state.xB)
         return _finish_primal(state, max_iter, 0, deadline=deadline, devex=devex)
@@ -1523,7 +1610,7 @@ def _solution_from_canonical(
             f"simplex reported status {status!r} without a solution vector"
         )
     x = lp.recover(y)
-    values = {name: float(x[i]) for i, name in enumerate(form.names)}
+    values = dict(zip(form.names, x.tolist()))
     return Solution(
         status=SolveStatus.OPTIMAL,
         objective=form.objective_value(x),

@@ -1,9 +1,12 @@
 """Tests for Minimum Set Cover algorithms (repro.covering.set_cover)."""
 
 import math
+import random
 
 import pytest
 
+from repro.active import probes as probes_module
+from repro.active.probes import compute_probe_set
 from repro.covering.set_cover import (
     SetCoverInstance,
     exact_set_cover,
@@ -11,7 +14,8 @@ from repro.covering.set_cover import (
     greedy_set_cover,
     lp_rounding_set_cover,
 )
-from repro.optim.errors import InfeasibleError
+from repro.optim.errors import InfeasibleError, InternalSolverError
+from repro.topology import paper_pop
 
 
 @pytest.fixture()
@@ -90,6 +94,90 @@ class TestGreedySetCover:
         optimum = exact_set_cover(instance)
         assert len(optimum) == 2
         assert len(greedy) <= math.ceil(greedy_cover_bound(len(universe)) * len(optimum))
+
+
+def full_scan_greedy(instance):
+    """Reference greedy: rescan every remaining subset for each pick.
+
+    Smallest ``weight / gain`` first, ratios within 1e-12 tied and broken
+    towards the larger gain, then towards the subset listed first.
+    """
+    if not instance.is_coverable:
+        raise InfeasibleError("the subsets do not cover the universe")
+    uncovered = set(instance.universe)
+    remaining = dict(instance.subsets)
+    selection = []
+    while uncovered:
+        best_label = None
+        best_ratio = float("inf")
+        best_gain = 0
+        for label, items in remaining.items():
+            gain = len(items & uncovered)
+            if gain == 0:
+                continue
+            ratio = instance.weights[label] / gain
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12 and gain > best_gain
+            ):
+                best_label, best_ratio, best_gain = label, ratio, gain
+        if best_label is None:
+            raise InternalSolverError("no subset with positive gain")
+        selection.append(best_label)
+        uncovered -= remaining.pop(best_label)
+    return selection
+
+
+def random_cover_instance(rng, weighted):
+    universe = list(range(rng.randint(1, 40)))
+    subsets = {
+        f"s{k}": set(rng.sample(universe, rng.randint(0, len(universe))))
+        for k in range(rng.randint(1, 30))
+    }
+    covered = set().union(*subsets.values())
+    for element in universe:  # keep the instance coverable
+        if element not in covered:
+            subsets[rng.choice(list(subsets))].add(element)
+    weights = {label: float(rng.randint(1, 4)) if weighted else 1.0 for label in subsets}
+    return SetCoverInstance(universe=set(universe), subsets=subsets, weights=weights)
+
+
+class TestLazyGreedyMatchesFullScan:
+    """The lazy heap greedy picks exactly what a full rescan per pick picks."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "integer-weights"])
+    def test_random_instances(self, weighted):
+        rng = random.Random(20051017 + weighted)
+        for _ in range(300):
+            instance = random_cover_instance(rng, weighted)
+            assert greedy_set_cover(instance) == full_scan_greedy(instance)
+
+    def test_ties_break_towards_gain_then_listing_order(self):
+        instance = SetCoverInstance(
+            universe=set(range(6)),
+            subsets={"a": {0}, "b": {1, 2}, "c": {3, 4}, "d": {0, 5}},
+            weights={"a": 1.0, "b": 2.0, "c": 2.0, "d": 2.0},
+        )
+        # Every ratio is 1: "b" wins on gain over "a", then "c" on listing
+        # order over "d"; after those, "d" (gain 2) beats "a" (gain 1).
+        assert greedy_set_cover(instance) == ["b", "c", "d"]
+        assert full_scan_greedy(instance) == ["b", "c", "d"]
+
+    def test_negative_weight_rejected(self):
+        instance = SetCoverInstance(
+            universe={1, 2}, subsets={"a": {1}, "b": {2}}, weights={"a": -1.0, "b": 1.0}
+        )
+        with pytest.raises(ValueError):
+            greedy_set_cover(instance)
+
+    @pytest.mark.parametrize("size", [10, 40, 80])
+    def test_pop80_probe_sets(self, size, monkeypatch):
+        pop = paper_pop("pop80", seed=0)
+        candidates = random.Random(size).sample(pop.routers, size)
+        lazy = compute_probe_set(pop, candidates)
+        monkeypatch.setattr(probes_module, "greedy_set_cover", full_scan_greedy)
+        reference = compute_probe_set(pop, candidates)
+        assert lazy.probes == reference.probes
+        assert lazy.covered_links == reference.covered_links
 
 
 class TestExactSetCover:

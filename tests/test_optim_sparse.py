@@ -11,7 +11,10 @@ Three layers are covered:
   spike file, dense inverse updated in place) against explicit dense
   references, copy-on-write clones, refactorization after long update
   chains, and the one-canonicalization-per-MILP-solve contract of branch
-  and bound.
+  and bound;
+* the pivot loops' bookkeeping: the eligibility signs and basic bounds they
+  keep in step with the statuses, their ratio-order shortcut and their
+  feasibility test on non-finite basic values.
 """
 
 from __future__ import annotations
@@ -24,10 +27,16 @@ from repro.optim import instrumentation as instr
 from repro.optim.simplex import (
     _DENSE_REFACTOR,
     _FT_MAX_UPDATES,
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
     SimplexSolver,
+    _ascending_ratios,
     _BasisFactor,
     _canonicalize,
+    _NumericalTrouble,
     _SingularBasis,
+    _State,
     solve_standard_form,
 )
 from repro.optim.sparse import SparseMatrix, as_dense
@@ -396,6 +405,19 @@ class TestBasisFactor:
             np.testing.assert_array_equal(pair[watched].btran(rhs.copy()), before_btran)
             factor = pair[watched]
 
+    def _assert_btran_unit_is_unit_btran(self):
+        lp, basis, _, factor = self._track_replacements(5, 6, 1e-8)
+        for r in range(lp.m):
+            e_r = np.zeros(lp.m)
+            e_r[r] = 1.0
+            np.testing.assert_array_equal(factor.btran_unit(r), factor.btran(e_r))
+
+    def test_btran_unit_is_unit_btran(self, spike_kind):
+        self._assert_btran_unit_is_unit_btran()
+
+    def test_dense_btran_unit_is_unit_btran(self):
+        self._assert_btran_unit_is_unit_btran()
+
     def test_clone_is_copy_on_write(self, spike_kind):
         self._assert_clone_is_copy_on_write()
 
@@ -458,6 +480,123 @@ class TestBasisFactor:
         assert instr.get("inverse_updates") > 8
         assert instr.get("ft_updates") == 0
         assert instr.get("refactorizations") >= 1
+
+
+def _bounded_knapsack(seed: int, n: int = 25, rows: int = 6) -> Model:
+    """A bounded general-integer knapsack whose tree makes primal and dual
+    bound flips (the moves that change a non-basic status without a pivot)."""
+    rng = np.random.default_rng(seed)
+    model = Model("knapsack", sense="max")
+    xs = [
+        model.add_var(f"x{i}", lb=0, ub=float(rng.integers(1, 4)), vartype="integer")
+        for i in range(n)
+    ]
+    for _ in range(rows):
+        weights = rng.integers(1, 20, n)
+        model.add_constr(
+            lin_sum(float(a) * x for a, x in zip(weights, xs)) <= 0.3 * float(weights.sum())
+        )
+    model.set_objective(lin_sum(float(v) * x for v, x in zip(rng.integers(5, 30, n), xs)))
+    return model
+
+
+def _assert_tracked(state: _State) -> None:
+    """``sign`` / ``lB`` / ``uB`` agree with a rebuild from the statuses."""
+    n_cols = state.lp.n
+    st = state.vstat[:n_cols]
+    movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
+    expected = np.where(movable & (st == AT_LOWER), 1.0, 0.0) - np.where(
+        movable & (st == AT_UPPER), 1.0, 0.0
+    )
+    np.testing.assert_array_equal(state.sign, expected)
+    assert not (state.sign != 0.0)[st == BASIC].any()
+    np.testing.assert_array_equal(state.lB, state.lower_ext[state.basis])
+    np.testing.assert_array_equal(state.uB, state.upper_ext[state.basis])
+
+
+class TestPivotLoopBookkeeping:
+    """The pivot loops keep ``_State.sign`` / ``lB`` / ``uB`` up to date
+    incrementally; these tests rebuild them from scratch and compare."""
+
+    def test_tracked_vectors_match_statuses_after_every_loop(self, monkeypatch):
+        checked = {"_dual_iterations": 0, "_primal_iterations": 0}
+
+        def checking(name):
+            loop = getattr(simplex, name)
+
+            def run(state, *args, **kwargs):
+                try:
+                    return loop(state, *args, **kwargs)
+                finally:
+                    _assert_tracked(state)
+                    checked[name] += 1
+
+            return run
+
+        for name in checked:
+            monkeypatch.setattr(simplex, name, checking(name))
+        instr.reset()
+        for seed in (0, 1, 2):
+            solution = _bounded_knapsack(seed).solve(backend="branch-and-bound")
+            assert solution.status is SolveStatus.OPTIMAL
+        assert checked["_dual_iterations"] > 100 and checked["_primal_iterations"] > 10
+        # Every kind of status change ran: pivots, and flips in both loops.
+        assert instr.get("dual_pivots") > 0 and instr.get("pivots") > 0
+        assert instr.get("dual_bound_flips") > 0 and instr.get("bound_flips") > 0
+
+    def _slack_basis_state(self) -> _State:
+        """A factorized state on the all-slack basis of a small LP whose
+        basic values violate their bounds (the dual loop has work to do)."""
+        model = Model("repair", sense="min")
+        xs = [model.add_var(f"x{i}", ub=4.0) for i in range(4)]
+        model.add_constr(xs[0] + xs[1] >= 2.0)
+        model.add_constr(xs[1] + 2 * xs[2] + xs[3] >= 3.0)
+        model.add_constr(xs[0] + xs[3] >= 1.0)
+        model.set_objective(lin_sum(xs))
+        lp = _canonicalize(model.to_standard_form())
+        m, n_cols = lp.m, lp.n
+        basis = np.arange(n_cols - m, n_cols, dtype=np.int64)
+        vstat = np.full(n_cols + m, AT_LOWER, dtype=np.int8)
+        vstat[basis] = BASIC
+        state = _State(
+            lp,
+            basis,
+            vstat,
+            np.ones(m),
+            np.concatenate((lp.lower, np.zeros(m))),
+            np.concatenate((lp.upper, np.zeros(m))),
+        )
+        state.factorize()
+        state.compute_xB()
+        return state
+
+    def test_dual_loop_repairs_the_slack_basis(self):
+        state = self._slack_basis_state()
+        costs = np.concatenate((state.lp.c, np.zeros(state.lp.m)))
+        assert simplex._dual_iterations(state, costs, 50)[0] == "feasible"
+        _assert_tracked(state)
+
+    def test_nan_basic_value_is_never_feasible(self):
+        state = self._slack_basis_state()
+        costs = np.concatenate((state.lp.c, np.zeros(state.lp.m)))
+        state.xB[1] = np.nan
+        try:
+            status, _ = simplex._dual_iterations(state, costs, 5)
+        except _NumericalTrouble:
+            return
+        assert status != "feasible"
+
+    def test_ascending_ratios_is_the_stable_sort_order(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            k = int(rng.integers(1, 12))
+            ratios = rng.integers(0, 4, k).astype(float)  # plenty of ties
+            if trial % 3 == 0:
+                ratios[rng.random(k) < 0.3] = np.nan
+            idx = np.sort(rng.choice(100, size=k, replace=False))
+            assert list(_ascending_ratios(idx, ratios)) == list(
+                idx[np.argsort(ratios, kind="stable")]
+            )
 
 
 class TestCanonicalizationContract:
